@@ -3,7 +3,9 @@ reference's ``clusterbreak`` end-to-end flow (/root/reference/R/clusterbreak.R:1
 traced in SURVEY.md §3.3/§3.4):
 
     pages --extract--> docs --MinHashActor--> signatures
-      --explode bands--> band_entries --hash shuffle on band_key--> pairs
+      --explode bands--> band_entries
+      --one repartition(1) block below the band-row memory gate
+        | hash shuffles on band_key, then (a, b), above it--> pairs
       --⋈ sketches, exact-Jaccard tau filter--> verified_edges
       --union-find (groupby-min label prop)--> clusters/dedup decisions
 
@@ -129,8 +131,9 @@ def near_dedup(
     # default), simhash (banded Hamming), substring (winnowing long-match)
     if similarity_backend == "minhash":
         # row-count hint lets hot-key detection pick the no-shuffle
-        # driver-merge plan at small scale (prefer the caller's approx_rows
-        # hint; sigs is materialized here so count() is metadata-cheap)
+        # driver-merge plan and candidate_pairs its one-block local plan
+        # below the memory gate (prefer the caller's approx_rows hint; sigs
+        # is materialized here so count() is metadata-cheap)
         n_band_rows = None
         try:
             n_rows = approx_rows if approx_rows is not None else sigs.count()
@@ -139,9 +142,10 @@ def near_dedup(
             pass
         # dedup=True: cross-band duplicate pairs (a near-dup pair matches in
         # many of the 32 bands) are deduplicated BEFORE the verify joins —
-        # the extra (a,b) shuffle on narrow pair rows is far cheaper than
-        # dragging per-doc sketches through the joins once per duplicate
-        # (measured 6x join volume at 100k pages without it)
+        # even on the shuffle plan, the extra (a,b) shuffle on narrow pair
+        # rows is far cheaper than dragging per-doc sketches through the
+        # joins once per duplicate (measured 6x join volume at 100k pages
+        # without it)
         pairs, fp_pairs = ckpt.run_stage(
             "pairs",
             fp_sigs,

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import gzip
 import io
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pyarrow as pa
@@ -55,8 +55,13 @@ PAGES_SCHEMA = pa.schema(
 )
 
 
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
 def _iso_from_us(us: int) -> str:
-    dt = datetime.fromtimestamp(us / 1_000_000, tz=timezone.utc)
+    # integer timedelta arithmetic: a float seconds value cannot hold every
+    # microsecond epoch of this century exactly
+    dt = _EPOCH + timedelta(microseconds=us)
     # WARC/1.1 allows fractional seconds; always emit microseconds so the
     # roundtrip is exact at the pages schema's us resolution
     return dt.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
@@ -69,7 +74,7 @@ def _us_from_iso(s: str) -> int:
     dt = datetime.fromisoformat(s)
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp() * 1_000_000)
+    return (dt - _EPOCH) // timedelta(microseconds=1)
 
 
 def _record(headers: list[tuple[str, str]], block: bytes, version: str) -> bytes:
