@@ -74,9 +74,14 @@ def configure_context() -> None:
     # 0.01 CPU/partition: a 3-shuffle DAG over 50 partitions reserves 1.5
     # CPUs total instead of 9+ (which deadlocks an 8-CPU node).  The
     # reservation is a scheduling hint, not a throughput cap — aggregator
-    # finalize work still uses real cores.
-    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = 0.01
-    ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = 0.01
+    # finalize work still uses real cores.  On a 1-CPU cluster any share at
+    # all leaves less than the one whole CPU a map task needs, so the
+    # shuffle's own map side never schedules (measured: a 10k-row keyed
+    # repartition hung at 0.01 and took 8.9 s at 0); there aggregators
+    # reserve nothing.
+    per_partition = 0.0 if cpus <= 1 else 0.01
+    ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = per_partition
+    ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = per_partition
 
 
 def ensure_schema(ds):

@@ -3,11 +3,28 @@ reference's ``clusterbreak`` end-to-end flow (/root/reference/R/clusterbreak.R:1
 traced in SURVEY.md §3.3/§3.4):
 
     pages --extract--> docs --MinHashActor--> signatures
-      --explode bands--> band_entries
-      --one repartition(1) block below the band-row memory gate
-        | hash shuffles on band_key, then (a, b), above it--> pairs
-      --⋈ sketches, exact-Jaccard tau filter--> verified_edges
-      --union-find (groupby-min label prop)--> clusters/dedup decisions
+      --hot-key pass (driver merge)--> hot band keys
+      below the back-half gate, ONE Ray task on the signature blocks:
+        explode bands -> emit + dedup pairs -> sketch-CSR Jaccard, tau
+        filter -> union-find -> cluster decisions
+        --> pairs, verified_edges, clusters
+      above it, staged (Ray Data per stage):
+        --explode bands--> band_entries
+        --one repartition(1) block below the band-row memory gate
+          | hash shuffles on band_key, then (a, b), above it--> pairs
+        --broadcast sketch CSR | ⋈ sketches, exact-Jaccard tau filter-->
+          verified_edges
+        --driver union-find | contraction rounds--> clusters/dedup decisions
+
+Below the gate the work after ``signatures`` is tiny (4.5k pairs at 3k
+pages, tens of ms of kernels), and running it as five Ray Data executions
+cost ~0.5 s of engine overhead per call; the one task runs the same
+kernels, so both plans give byte-identical pairs, edges and clusters.  The
+task plan is taken only where every staged gate would pick its
+single-process plan anyway (``_task_plan_sizes``), and never with
+``edge_filter``, ``tau_quantile`` or ``cluster_backend``, or with the
+simhash / substring backends.  ``stats["back_half"]`` records the plan and
+the sizes that chose it.
 
 The reference's recursive size controller with global mutable state becomes
 a flat keyed dataflow; its per-subset quantile threshold
@@ -20,13 +37,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+import pyarrow as pa
+
 from dynaalign_ray.config import DedupConfig
 from dynaalign_ray.exec import configure_context, pick_num_partitions
 from dynaalign_ray.extract import extract_text_batch
-from dynaalign_ray.stages.bands import candidate_pairs
-from dynaalign_ray.stages.cluster import assign_clusters, connected_components
+from dynaalign_ray.stages.bands import _local_pairs_block, candidate_pairs, explode_bands
+from dynaalign_ray.stages.cluster import (
+    _decide,
+    assign_clusters,
+    component_labels,
+    connected_components,
+)
 from dynaalign_ray.stages.minhash import signatures_dataset
-from dynaalign_ray.stages.verify import verified_edges
+from dynaalign_ray.stages.verify import build_sketch_csr, verified_edges, verify_pairs_csr
 from dynaalign_ray.state.lineage import CheckpointContext
 
 
@@ -36,6 +61,7 @@ class NearDupResult:
     edges: Any  # Dataset(a, b, jaccard)
     signatures: Any  # Dataset(doc_id, minhash, simhash, n_shingles, sketch)
     docs: Any  # Dataset(doc_id, url?, text, ...)
+    pairs: Any = None  # Dataset(a, b) of candidate pairs (minhash backend)
     stats: dict = field(default_factory=dict)
 
 
@@ -118,54 +144,78 @@ def near_dedup(
         # (extract fused upstream, everything downstream streams).  The
         # substring backend never consumes signatures, so there they stay lazy.
         sigs = sigs.materialize()
-    # doc-id source for the final cluster assignment: the signature table
-    # carries one row per doc, so the (wide) docs table never re-executes
-    ids_ds = (
-        docs_ds.select_columns(["doc_id"])
-        if similarity_backend == "substring"
-        else sigs.select_columns(["doc_id"])
-    )
-
     # pluggable similarity backend (the reference's sim_fn injection point,
     # R/clusterbreak.R:185-188): minhash (LSH + exact-Jaccard verify,
     # default), simhash (banded Hamming), substring (winnowing long-match)
+    back_half = {"plan": "staged"}
     if similarity_backend == "minhash":
         # row-count hint lets hot-key detection pick the no-shuffle
-        # driver-merge plan and candidate_pairs its one-block local plan
-        # below the memory gate (prefer the caller's approx_rows hint; sigs
-        # is materialized here so count() is metadata-cheap)
-        n_band_rows = None
+        # driver-merge plan and the back half its one-task or one-block
+        # plans below the memory gate (prefer the caller's approx_rows hint;
+        # sigs is materialized or a Parquet checkpoint here, so count() is
+        # metadata-cheap)
+        n_rows = None
         try:
             n_rows = approx_rows if approx_rows is not None else sigs.count()
-            n_band_rows = n_rows * cfg.num_bands
         except Exception:
             pass
-        # dedup=True: cross-band duplicate pairs (a near-dup pair matches in
-        # many of the 32 bands) are deduplicated BEFORE the verify joins —
-        # even on the shuffle plan, the extra (a,b) shuffle on narrow pair
-        # rows is far cheaper than dragging per-doc sketches through the
-        # joins once per duplicate (measured 6x join volume at 100k pages
-        # without it)
-        pairs, fp_pairs = ckpt.run_stage(
-            "pairs",
-            fp_sigs,
-            lambda: candidate_pairs(
-                sigs, cfg, P, salt_hot=salt_hot, dedup=True,
-                approx_band_rows=n_band_rows,
-            ),
-        )
-        if checkpoint_dir is None:
-            pairs = pairs.materialize()
-        n_pairs = None
-        try:
-            n_pairs = pairs.count()
-        except Exception:
-            pass
-        edges, fp_edges = ckpt.run_stage(
-            "edges",
-            fp_pairs,
-            lambda: verified_edges(pairs, sigs, cfg, P, approx_pairs=n_pairs),
-        )
+        n_band_rows = None if n_rows is None else n_rows * cfg.num_bands
+        hot_keys = None
+        if (
+            n_rows is not None
+            and cluster_backend is None
+            and edge_filter is None
+            and cfg.tau_quantile is None
+        ):
+            if ckpt.resumes_chain(fp_sigs, ("pairs", "edges", "clusters")):
+                back_half = {"plan": "resumed"}
+            else:
+                back_half, sigs, hot_keys = _choose_back_half(
+                    sigs, cfg, P, n_rows, salt_hot, checkpointed=checkpoint_dir is not None
+                )
+        if back_half["plan"] == "task":
+            task_out: list = []
+
+            def task_output(i: int):
+                # launched by whichever stage is rebuilt first; stages that
+                # resume never wait on it
+                import ray.data as rd
+
+                if not task_out:
+                    task_out.extend(
+                        _launch_back_half(sigs.to_arrow_refs(), cfg, hot_keys)
+                    )
+                return rd.from_arrow_refs([task_out[i]])
+
+            pairs, fp_pairs = ckpt.run_stage("pairs", fp_sigs, lambda: task_output(0))
+            edges, fp_edges = ckpt.run_stage("edges", fp_pairs, lambda: task_output(1))
+        else:
+            # dedup=True: cross-band duplicate pairs (a near-dup pair matches
+            # in many of the 32 bands) are deduplicated BEFORE the verify
+            # joins — even on the shuffle plan, the extra (a,b) shuffle on
+            # narrow pair rows is far cheaper than dragging per-doc sketches
+            # through the joins once per duplicate (measured 6x join volume
+            # at 100k pages without it)
+            pairs, fp_pairs = ckpt.run_stage(
+                "pairs",
+                fp_sigs,
+                lambda: candidate_pairs(
+                    sigs, cfg, P, salt_hot=salt_hot, dedup=True,
+                    approx_band_rows=n_band_rows, hot_keys=hot_keys,
+                ),
+            )
+            if checkpoint_dir is None:
+                pairs = pairs.materialize()
+            n_pairs = None
+            try:
+                n_pairs = pairs.count()
+            except Exception:
+                pass
+            edges, fp_edges = ckpt.run_stage(
+                "edges",
+                fp_pairs,
+                lambda: verified_edges(pairs, sigs, cfg, P, approx_pairs=n_pairs),
+            )
     elif similarity_backend == "simhash":
         from dynaalign_ray.stages.simhash_stage import simhash_edges
 
@@ -213,7 +263,7 @@ def near_dedup(
         edges, fp_edges = ckpt.run_stage("edges", fp_docs, _sub_edges)
     else:
         raise ValueError(f"unknown similarity_backend {similarity_backend!r}")
-    if checkpoint_dir is None:
+    if checkpoint_dir is None and back_half["plan"] != "task":
         edges = edges.materialize()
 
     if cfg.tau_quantile is not None:
@@ -240,27 +290,160 @@ def near_dedup(
             cluster_edges = cluster_edges.materialize()
         fp_edges = f"{fp_edges}|edge_filter:{edge_filter_tag}"
 
-    if cluster_backend is not None:
-        # the reference's cluster_fn injection point (R/clusterbreak.R:185-188,
-        # netcluster's cluster_func): any callable (edges_ds, num_partitions)
-        # -> labels Dataset(node, label)
-        labels = cluster_backend(cluster_edges, P)
-        cc_info = {"mode": "custom", "n_edges": cluster_edges.count()}
-        labels_table = None
+    if back_half["plan"] == "task":
+        clusters, _ = ckpt.run_stage("clusters", fp_edges, lambda: task_output(2))
+        cc_info = {"n_edges": edges.count(), "mode": "driver_union_find", "rounds": 1,
+                   "converged": True}
     else:
-        labels, cc_info = connected_components(
-            cluster_edges, P, cfg.max_cc_rounds, cfg.small_cc_limit
+        if cluster_backend is not None:
+            # the reference's cluster_fn injection point
+            # (R/clusterbreak.R:185-188, netcluster's cluster_func): any
+            # callable (edges_ds, num_partitions) -> labels Dataset(node, label)
+            labels = cluster_backend(cluster_edges, P)
+            cc_info = {"mode": "custom", "n_edges": cluster_edges.count()}
+            labels_table = None
+        else:
+            labels, cc_info = connected_components(
+                cluster_edges, P, cfg.max_cc_rounds, cfg.small_cc_limit
+            )
+            labels_table = cc_info.pop("labels_table", None)
+        # doc-id source for the final cluster assignment: the signature
+        # table carries one row per doc, so the (wide) docs table never
+        # re-executes
+        ids_ds = (
+            docs_ds.select_columns(["doc_id"])
+            if similarity_backend == "substring"
+            else sigs.select_columns(["doc_id"])
         )
-        labels_table = cc_info.pop("labels_table", None)
-    clusters, _ = ckpt.run_stage(
-        "clusters",
-        fp_edges,
-        lambda: assign_clusters(ids_ds, labels, P, labels_table=labels_table),
-    )
-    stats = {"cc": cc_info, "stages": ckpt.counters, "num_partitions": P}
+        clusters, _ = ckpt.run_stage(
+            "clusters",
+            fp_edges,
+            lambda: assign_clusters(ids_ds, labels, P, labels_table=labels_table),
+        )
+    stats = {
+        "cc": cc_info,
+        "back_half": back_half,
+        "stages": ckpt.counters,
+        "num_partitions": P,
+    }
     return NearDupResult(
-        clusters=clusters, edges=edges, signatures=sigs, docs=docs_ds, stats=stats
+        clusters=clusters,
+        edges=edges,
+        signatures=sigs,
+        docs=docs_ds,
+        pairs=pairs if similarity_backend == "minhash" else None,
+        stats=stats,
     )
+
+
+def _task_plan_sizes(n_docs: int, salted_rows: int, cfg: DedupConfig) -> dict:
+    """The back half's plan choice and the sizes that made it.  The one-task
+    plan runs only where every back-half gate would pick its single-process
+    plan anyway: ``fits_local_plan`` for the band rows, salted rows and the
+    signature bytes the task holds; the doc count within the broadcast
+    verify gate; the worst-case pair count (so also the edge count) within
+    ``cfg.small_cc_limit``, the driver union-find gate."""
+    from dynaalign_ray.stages import bands, verify
+
+    band_rows = n_docs * cfg.num_bands
+    rows = band_rows + salted_rows
+    sig_bytes = n_docs * (cfg.num_perm + cfg.sketch_cap) * 8
+    worst_pairs = bands.worst_case_pairs(rows, cfg.pair_cap)
+    fits = (
+        bands.fits_local_plan(
+            band_rows, salted_rows, pair_cap=cfg.pair_cap, sig_bytes=sig_bytes
+        )
+        and n_docs <= verify.broadcast_doc_limit(cfg)
+        and worst_pairs <= cfg.small_cc_limit
+    )
+    budget = bands.local_plan_budget(rows, pair_cap=cfg.pair_cap, sig_bytes=sig_bytes)
+    return {
+        "plan": "task" if fits else "staged",
+        "docs": n_docs,
+        "band_rows": band_rows,
+        "salted_rows": salted_rows,
+        "worst_case_pairs": int(worst_pairs),
+        "heap_bytes": int(budget["heap_bytes"]),
+        "heap_per_cpu_bytes": int(budget["heap_per_cpu_bytes"]),
+    }
+
+
+def _choose_back_half(sigs, cfg: DedupConfig, P: int, n_docs: int, salt_hot: bool,
+                      checkpointed: bool):
+    """-> (plan record, signatures for the task, hot keys).  The gate is
+    first taken without salted rows: if that already fails, the staged plan
+    runs exactly as ``candidate_pairs`` alone would (its own hot-key pass,
+    lazily read checkpoints).  Otherwise the signatures are read once (from
+    a checkpoint) and the hot-key pass runs once, on its driver-merge plan;
+    its salted rows complete the gate and its keys go to whichever plan
+    runs."""
+    from dynaalign_ray.stages.bands import hot_band_keys
+
+    plan = _task_plan_sizes(n_docs, 0, cfg)
+    if plan["plan"] != "task":
+        return plan, sigs, None
+    if checkpointed:
+        sigs = sigs.materialize()
+    hot_keys = None
+    if salt_hot and cfg.salt_cap:
+        hot_keys = hot_band_keys(sigs, cfg, P, n_docs * cfg.num_bands)
+    salted_rows = 0 if hot_keys is None else int(hot_keys[1].sum())
+    plan = _task_plan_sizes(n_docs, salted_rows, cfg)
+    plan["hot_keys"] = 0 if hot_keys is None else len(hot_keys[0])
+    return plan, sigs, hot_keys
+
+
+_BAND_SCHEMA = pa.schema([("band_key", pa.int64()), ("doc_id", pa.int64())])
+
+
+def back_half_tables(cfg: DedupConfig, hot_keys, *sig_blocks: pa.Table):
+    """Signature blocks -> (pairs, edges, clusters) tables, in one process,
+    with the staged plan's kernels: ``explode_bands`` with the hot keys, the
+    local candidate-pair plan's emit + dedup, the broadcast verify plan's
+    CSR lookup, the driver union-find and the cluster decision."""
+    blocks = [t for t in sig_blocks if t.num_rows]  # empty ones may lack a schema
+    band_parts = [explode_bands(t, cfg=cfg, hot_keys=hot_keys) for t in blocks]
+    pairs = _local_pairs_block(
+        pa.concat_tables(band_parts) if band_parts else _BAND_SCHEMA.empty_table(),
+        pair_cap=cfg.pair_cap,
+        dedup=True,
+    )
+    edges = verify_pairs_csr(
+        np.asarray(pairs.column("a")),
+        np.asarray(pairs.column("b")),
+        build_sketch_csr(blocks),
+        cfg,
+    )
+    nodes, root = component_labels(
+        np.asarray(edges.column("a")), np.asarray(edges.column("b"))
+    )
+    doc = np.concatenate(
+        [np.asarray(t.column("doc_id")).astype(np.int64) for t in blocks]
+        or [np.empty(0, dtype=np.int64)]
+    )
+    if len(nodes):
+        pos = np.minimum(np.searchsorted(nodes, doc), len(nodes) - 1)
+        label = pa.array(root[pos], type=pa.int64(), mask=nodes[pos] != doc)
+    else:
+        label = pa.nulls(len(doc), pa.int64())
+    clusters = _decide(pa.table({"doc_id": pa.array(doc, pa.int64()), "label": label}))
+    return pairs, edges, clusters
+
+
+_BACK_HALF_TASK = None
+
+
+def _launch_back_half(sig_refs: list, cfg: DedupConfig, hot_keys) -> list:
+    """Start ``back_half_tables`` as one plain Ray task on the default 1 CPU
+    (it starts no actor, pool, subprocess or nested task); the signature
+    block refs are top-level arguments, so Ray maps them into the task
+    zero-copy.  Returns the refs of (pairs, edges, clusters)."""
+    import ray
+
+    global _BACK_HALF_TASK
+    if _BACK_HALF_TASK is None:
+        _BACK_HALF_TASK = ray.remote(num_returns=3)(back_half_tables)
+    return _BACK_HALF_TASK.remote(cfg, hot_keys, *sig_refs)
 
 
 _QUANTILE_BINS = 20_000  # histogram resolution: quantile exact to 5e-5

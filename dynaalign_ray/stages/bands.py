@@ -11,7 +11,11 @@ repartition — no shuffle aggregator actors) and one task emits and
 deduplicates the pairs; above it (or with no row-count hint) a hash
 shuffle on band_key feeds the emitter and a second hash shuffle on (a, b)
 feeds the dedup.  Both plans emit whole buckets with the same kernels, so
-their pair sets are identical.
+their pair sets are identical.  Below the same gate, with the signature
+bytes it holds added to its heap term, ``near_dedup`` skips this stage's
+Ray Data plan altogether and runs ``explode_bands`` and
+``_local_pairs_block`` inside its one back-half task
+(``pipelines/neardup.py``), with hot keys from ``hot_band_keys``.
 
 Skew handling (SURVEY.md §4): buckets produced by boilerplate-heavy pages
 are the known hot keys.  Two-phase salted emission: phase 1 counts bucket
@@ -335,7 +339,7 @@ _PAIR_BYTES = 16  # int64 a + int64 b
 # corpus and was not timed against a 32-CPU shuffle, so larger corpora keep
 # the shuffle plan.
 _LOCAL_PLAN_MAX_BAND_ROWS = 640_000
-# Peak heap of the local plan's one task, measured two ways:
+# Peak heap of the local plan's one task, measured three ways:
 # - per band-row byte on F1 corpora (Dataset.stats(), same box): 230 MiB at
 #   20k pages (10.2 MB of band rows); 668 MiB at 100k pages (53.2 MB), i.e.
 #   12.6x once the Python worker's fixed ~100-150 MiB stops dominating;
@@ -344,35 +348,69 @@ _LOCAL_PLAN_MAX_BAND_ROWS = 640_000
 #   of emit_pairs_block + dedup_pairs_block): 3.5-3.7x at 131k-524k rows.
 _LOCAL_HEAP_PER_BAND_BYTE = 16
 _LOCAL_HEAP_PER_PAIR_BYTE = 4
+# - per byte of signatures (num_perm x 8 + sketch_cap x 8 per doc) held by
+#   near_dedup's one-task back half (pipelines/neardup.py), its input blocks
+#   mapped from the object store: peak RSS above a bare worker (118 MiB)
+#   was 165 / 241 / 384 MiB at 3k / 10k / 20k F1 pages (15 / 51 / 102 MB
+#   of signature bytes, 2 logical CPUs), i.e. 2.1-2.8x per added signature
+#   byte, band rows and pairs included.
+_LOCAL_HEAP_PER_SIG_BYTE = 3
 # repartition(1) holds the input blocks and their one concatenated copy in
 # the object store at once; keep both within half of it.
 _LOCAL_STORE_SHARE = 0.25
 
 
-def fits_local_plan(band_rows: int, salted_rows: int = 0, *, pair_cap: int) -> bool:
-    """The gate between candidate_pairs' two plans.  Salted rows count twice
-    (each is emitted into two sub-buckets).  The local plan runs when
-    - the rows are at most ``_LOCAL_PLAN_MAX_BAND_ROWS`` (where it was
-      timed against the shuffle plan);
-    - the task's worst-case heap fits one CPU's share of Ray's ``memory``
-      resource: band bytes times their measured factor, plus the pairs
-      emitted before dedup if every bucket held ``pair_cap`` docs and recurred
-      in every band ((pair_cap-1)/2 pairs per row) times theirs;
-    - the band bytes fit ``_LOCAL_STORE_SHARE`` of the object store."""
+def worst_case_pairs(rows: int, pair_cap: int) -> float:
+    """Pairs ``rows`` band rows emit before dedup if every bucket held
+    ``pair_cap`` docs and recurred in every band: a bucket of m <= pair_cap
+    docs emits (m-1)/2 pairs per row, a bigger one (star edges) fewer than
+    one."""
+    return rows * max(pair_cap - 1, 2) / 2
+
+
+def local_plan_budget(rows: int, *, pair_cap: int, sig_bytes: int = 0) -> dict:
+    """Worst-case heap of one task holding ``rows`` band rows (salted rows
+    counted twice) and ``sig_bytes`` of signatures, next to one CPU's share
+    of Ray's ``memory`` resource; band bytes next to the object store."""
     import ray
 
+    res = ray.cluster_resources()
+    band_bytes = rows * _BAND_ROW_BYTES
+    heap = (
+        band_bytes * _LOCAL_HEAP_PER_BAND_BYTE
+        + worst_case_pairs(rows, pair_cap) * _PAIR_BYTES * _LOCAL_HEAP_PER_PAIR_BYTE
+        + sig_bytes * _LOCAL_HEAP_PER_SIG_BYTE
+    )
+    return {
+        "heap_bytes": heap,
+        "heap_per_cpu_bytes": res.get("memory", 0.0) / max(res.get("CPU", 1.0), 1.0),
+        "band_bytes": band_bytes,
+        "store_bytes": res.get("object_store_memory", 0.0),
+    }
+
+
+def fits_local_plan(
+    band_rows: int, salted_rows: int = 0, *, pair_cap: int, sig_bytes: int = 0
+) -> bool:
+    """The gate between candidate_pairs' two plans, and the band half of the
+    gate for near_dedup's one-task back half (which also holds ``sig_bytes``
+    of signatures).  Salted rows count twice (each is emitted into two
+    sub-buckets).  The local plan runs when
+    - the rows are at most ``_LOCAL_PLAN_MAX_BAND_ROWS`` (where it was
+      timed against the shuffle plan);
+    - the task's worst-case heap (``local_plan_budget``) fits one CPU's
+      share of Ray's ``memory`` resource: band bytes, the pairs of
+      ``worst_case_pairs`` and the signature bytes, each times its measured
+      factor;
+    - the band bytes fit ``_LOCAL_STORE_SHARE`` of the object store."""
     rows = band_rows + salted_rows
     if rows > _LOCAL_PLAN_MAX_BAND_ROWS:
         return False
-    res = ray.cluster_resources()
-    heap_per_cpu = res.get("memory", 0.0) / max(res.get("CPU", 1.0), 1.0)
-    band_bytes = rows * _BAND_ROW_BYTES
-    # a bucket of m <= pair_cap docs emits (m-1)/2 pairs per row, a
-    # bigger one (star edges) fewer than one
-    max_pair_bytes = rows * max(pair_cap - 1, 2) / 2 * _PAIR_BYTES
-    heap = band_bytes * _LOCAL_HEAP_PER_BAND_BYTE + max_pair_bytes * _LOCAL_HEAP_PER_PAIR_BYTE
-    store = res.get("object_store_memory", 0.0)
-    return heap <= heap_per_cpu and band_bytes <= store * _LOCAL_STORE_SHARE
+    b = local_plan_budget(rows, pair_cap=pair_cap, sig_bytes=sig_bytes)
+    return (
+        b["heap_bytes"] <= b["heap_per_cpu_bytes"]
+        and b["band_bytes"] <= b["store_bytes"] * _LOCAL_STORE_SHARE
+    )
 
 
 def _local_pairs_block(batch: pa.Table, *, pair_cap: int, dedup: bool) -> pa.Table:
@@ -382,6 +420,21 @@ def _local_pairs_block(batch: pa.Table, *, pair_cap: int, dedup: bool) -> pa.Tab
     return dedup_pairs_block(pairs) if dedup else pairs
 
 
+def hot_band_keys(
+    sigs_ds, cfg: DedupConfig, num_partitions: int, approx_band_rows: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The hot-key pass: ``find_hot_band_keys`` over the unsalted band rows
+    (``approx_band_rows`` picks its driver-merge plan)."""
+    import functools
+
+    plain = sigs_ds.map_batches(
+        functools.partial(explode_bands, cfg=cfg),
+        batch_format="pyarrow",
+        zero_copy_batch=True,
+    )
+    return find_hot_band_keys(plain, cfg, num_partitions, approx_rows=approx_band_rows)
+
+
 def candidate_pairs(
     sigs_ds,
     cfg: DedupConfig,
@@ -389,18 +442,19 @@ def candidate_pairs(
     salt_hot: bool = True,
     dedup: bool = True,
     approx_band_rows: int | None = None,
+    hot_keys: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """signatures -> candidate_pairs(a, b).
 
     Band rows are built the same way on both plans: ``explode_bands``, the
-    hot-key pass when salting (``approx_band_rows`` also picks its
-    driver-merge plan), then a salted re-explode.  When ``approx_band_rows``
-    is given and ``fits_local_plan`` holds, the band rows go through
-    ``repartition(1)`` into one block and one task emits the pairs and
-    (with ``dedup=True``) drops cross-band duplicates — no hash shuffle.
-    Otherwise one hash shuffle on band_key feeds ``emit_pairs_block`` and,
-    with ``dedup=True``, a second shuffle on (a, b) feeds
-    ``dedup_pairs_block``.
+    hot-key pass when salting (``hot_band_keys``, unless the caller already
+    ran it and passes its result as ``hot_keys``), then a salted re-explode.
+    When ``approx_band_rows`` is given and ``fits_local_plan`` holds, the
+    band rows go through ``repartition(1)`` into one block and one task
+    emits the pairs and (with ``dedup=True``) drops cross-band duplicates —
+    no hash shuffle.  Otherwise one hash shuffle on band_key feeds
+    ``emit_pairs_block`` and, with ``dedup=True``, a second shuffle on
+    (a, b) feeds ``dedup_pairs_block``.
 
     The flagship pipeline passes ``dedup=True``: deduplicating the narrow
     pair rows before the verify joins is far cheaper than dragging per-doc
@@ -410,26 +464,14 @@ def candidate_pairs(
     that share a block)."""
     import functools
 
-    plain = sigs_ds.map_batches(
-        functools.partial(explode_bands, cfg=cfg),
+    if hot_keys is None and salt_hot and cfg.salt_cap:
+        hot_keys = hot_band_keys(sigs_ds, cfg, num_partitions, approx_band_rows)
+    if hot_keys is not None and len(hot_keys[0]) == 0:
+        hot_keys = None
+    bands = sigs_ds.map_batches(
+        functools.partial(explode_bands, cfg=cfg, hot_keys=hot_keys),
         batch_format="pyarrow",
         zero_copy_batch=True,
-    )
-    hot_keys = None
-    if salt_hot and cfg.salt_cap:
-        hot_keys = find_hot_band_keys(
-            plain, cfg, num_partitions, approx_rows=approx_band_rows
-        )
-        if len(hot_keys[0]) == 0:
-            hot_keys = None
-    bands = (
-        plain
-        if hot_keys is None
-        else sigs_ds.map_batches(
-            functools.partial(explode_bands, cfg=cfg, hot_keys=hot_keys),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
     )
     salted_rows = 0 if hot_keys is None else int(hot_keys[1].sum())
     if approx_band_rows is not None and fits_local_plan(

@@ -51,18 +51,13 @@ _EDGES_PER_BLOCK = 4_000_000
 _DRIVER_FINISH_EDGES = 5_000_000
 
 
-def _local_star(batch: pa.Table) -> pa.Table:
-    """Exact union-find over one block's edges -> star edges (a=node,
-    b=local component min), INCLUDING the root self-loop (root -> root) so
-    every node stays visible as a star child (labels can then be read
-    straight off the edge set at a fixed point).  Emits exactly V rows for
-    V local nodes, regardless of how many edges came in; np.unique gives a
-    deterministic, deduplicated output independent of row order."""
-    a = np.asarray(batch.column("a")).astype(np.int64)
-    b = np.asarray(batch.column("b")).astype(np.int64)
-    if len(a) == 0:
-        empty = pa.array([], type=pa.int64())
-        return pa.table({"a": empty, "b": empty})
+def component_labels(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Union-find over int64 edges (a[i], b[i]) -> (nodes, root): every
+    endpoint once, ascending, and the min node of its component.  Index-space
+    min-label propagation with pointer jumping (``label = label[label]``):
+    O(E) numpy work per round, O(log n) rounds.  np.unique's ascending node
+    order makes index order == doc_id order, so the converged root index
+    maps back to the component's min doc_id."""
     nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
     src = inv[: len(a)]
     dst = inv[len(a) :]
@@ -74,7 +69,20 @@ def _local_star(batch: pa.Table) -> pa.Table:
         label = label[label]  # pointer jumping
         if np.array_equal(label, before):
             break
-    root = nodes[label]
+    return nodes, nodes[label]
+
+
+def _local_star(batch: pa.Table) -> pa.Table:
+    """Exact union-find over one block's edges -> star edges (a=node,
+    b=local component min), INCLUDING the root self-loop (root -> root) so
+    every node stays visible as a star child (labels can then be read
+    straight off the edge set at a fixed point).  Emits exactly V rows for
+    V local nodes, regardless of how many edges came in; np.unique gives a
+    deterministic, deduplicated output independent of row order."""
+    nodes, root = component_labels(
+        np.asarray(batch.column("a")).astype(np.int64),
+        np.asarray(batch.column("b")).astype(np.int64),
+    )
     return pa.table(
         {
             "a": pa.array(nodes, type=pa.int64()),
@@ -237,36 +245,20 @@ def connected_components_distributed(
 def connected_components_small(edges_ds) -> pa.Table:
     """Driver-side connected components — used when the verified edge count
     is under ``DedupConfig.small_cc_limit``.  Streams edge batches to the
-    driver (never doc payloads) and solves CC fully vectorized: index-space
-    min-label propagation with pointer jumping (``label = label[label]``),
-    O(E) numpy work per round, O(log n) rounds.  np.unique's ascending node
-    order makes index order == doc_id order, so the converged root index
-    maps back to the component's min doc_id."""
+    driver (never doc payloads) and solves CC with ``component_labels``."""
     parts_a, parts_b = [], []
     for batch in edges_ds.iter_batches(batch_size=1 << 20, batch_format="pyarrow"):
         parts_a.append(np.asarray(batch.column("a")).astype(np.int64))
         parts_b.append(np.asarray(batch.column("b")).astype(np.int64))
-    if not parts_a:
-        return pa.table(
-            {"node": pa.array([], type=pa.int64()), "label": pa.array([], type=pa.int64())}
-        )
-    a = np.concatenate(parts_a)
-    b = np.concatenate(parts_b)
-    nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-    src = inv[: len(a)]
-    dst = inv[len(a) :]
-    label = np.arange(len(nodes), dtype=np.int64)
-    while True:
-        before = label.copy()
-        np.minimum.at(label, dst, label[src])
-        np.minimum.at(label, src, label[dst])
-        label = label[label]  # pointer jumping
-        if np.array_equal(label, before):
-            break
+    empty = np.empty(0, dtype=np.int64)
+    nodes, root = component_labels(
+        np.concatenate(parts_a) if parts_a else empty,
+        np.concatenate(parts_b) if parts_b else empty,
+    )
     return pa.table(
         {
             "node": pa.array(nodes, type=pa.int64()),
-            "label": pa.array(nodes[label], type=pa.int64()),
+            "label": pa.array(root, type=pa.int64()),
         }
     )
 

@@ -90,6 +90,41 @@ def build_sketch_csr(
     )
 
 
+def verify_pairs_csr(
+    aa: np.ndarray, bb: np.ndarray, csr: tuple, cfg: DedupConfig
+) -> pa.Table:
+    """Deduplicated pairs (a, b) + a ``build_sketch_csr`` lookup -> verified
+    (a, b, jaccard) rows with jaccard >= tau: each pair's two sketch slices
+    are found by ``searchsorted`` on the CSR's sorted ids and intersected in
+    place, so no sketch byte is copied per pair.  A pair with an id missing
+    from the CSR is dropped instead of reading a neighbour's sketch."""
+    ids_s, starts_s, ends_s, vals_s = csr
+    if len(aa) and len(ids_s):
+        ra = np.searchsorted(ids_s, aa)
+        rb = np.searchsorted(ids_s, bb)
+        np.clip(ra, 0, len(ids_s) - 1, out=ra)
+        np.clip(rb, 0, len(ids_s) - 1, out=rb)
+        ok = (ids_s[ra] == aa) & (ids_s[rb] == bb)
+        if not ok.all():
+            aa, bb, ra, rb = aa[ok], bb[ok], ra[ok], rb[ok]
+        jac = _pairwise_jaccard(
+            vals_s, starts_s[ra], ends_s[ra], vals_s, starts_s[rb], ends_s[rb],
+            cfg.sketch_cap,
+        )
+        keep = jac >= cfg.tau
+        aa, bb, jac = aa[keep], bb[keep], jac[keep]
+    else:
+        aa = bb = np.empty(0, dtype=np.int64)
+        jac = np.empty(0, dtype=np.float64)
+    return pa.table(
+        {
+            "a": pa.array(aa, type=pa.int64()),
+            "b": pa.array(bb, type=pa.int64()),
+            "jaccard": pa.array(jac, type=pa.float64()),
+        }
+    )
+
+
 def verify_pairs_batch(batch: pa.Table, *, cfg: DedupConfig) -> pa.Table:
     """(a, b, sketch_a, sketch_b) -> verified (a, b, jaccard) rows with
     jaccard >= tau."""
@@ -141,6 +176,12 @@ _BROADCAST_SKETCH_BYTES = 16 << 30  # sketch-CSR bytes under which the filtered
 # BYTES to pair rows (~44 GB through the object store at 2M pages), so
 # prefer raising this toward node plasma capacity over falling to plan 2
 # early.
+
+
+def broadcast_doc_limit(cfg: DedupConfig) -> int:
+    """Most docs whose worst-case sketch CSR fits ``_BROADCAST_SKETCH_BYTES``
+    (read at call time, so a caller can force the join plans)."""
+    return _BROADCAST_SKETCH_BYTES // (cfg.sketch_cap * 8 + 24)
 
 
 def verified_edges(
@@ -203,11 +244,10 @@ def verified_edges(
         )
         pair_doc_ref = broadcast_put(pair_docs)
 
-    broadcast_doc_limit = _BROADCAST_SKETCH_BYTES // (cfg.sketch_cap * 8 + 24)
     if (
         pairs_deduped
         and pair_docs is not None
-        and len(pair_docs) <= broadcast_doc_limit
+        and len(pair_docs) <= broadcast_doc_limit(cfg)
     ):
         return _broadcast_verify(pairs_ds, sigs_ds, cfg, pair_doc_ref, pair_docs)
 
@@ -290,51 +330,11 @@ def _broadcast_verify(pairs_ds, sigs_ds, cfg: DedupConfig, pair_doc_ref, pair_do
     sk_ref = broadcast_put(build_sketch_csr(parts))
 
     def verify_block(batch: pa.Table, *, cfg: DedupConfig) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table(
-                {
-                    "a": pa.array([], type=pa.int64()),
-                    "b": pa.array([], type=pa.int64()),
-                    "jaccard": pa.array([], type=pa.float64()),
-                }
-            )
-        ids_s, starts_s, ends_s, vals_s = ray.get(sk_ref)  # zero-copy plasma read
-        if len(ids_s) == 0:
-            return pa.table(
-                {
-                    "a": pa.array([], type=pa.int64()),
-                    "b": pa.array([], type=pa.int64()),
-                    "jaccard": pa.array([], type=pa.float64()),
-                }
-            )
-        aa = np.asarray(batch.column("a")).astype(np.int64)
-        bb = np.asarray(batch.column("b")).astype(np.int64)
-        ra = np.searchsorted(ids_s, aa)
-        rb = np.searchsorted(ids_s, bb)
-        # pair docs ⊆ CSR by construction; guard anyway so a stray id drops
-        # the pair instead of reading a neighbor's sketch
-        np.clip(ra, 0, len(ids_s) - 1, out=ra)
-        np.clip(rb, 0, len(ids_s) - 1, out=rb)
-        ok = (ids_s[ra] == aa) & (ids_s[rb] == bb)
-        if not ok.all():
-            aa, bb, ra, rb = aa[ok], bb[ok], ra[ok], rb[ok]
-        jac = _pairwise_jaccard(
-            vals_s,
-            starts_s[ra],
-            ends_s[ra],
-            vals_s,
-            starts_s[rb],
-            ends_s[rb],
-            cfg.sketch_cap,
-        )
-        keep = jac >= cfg.tau
-        return pa.table(
-            {
-                "a": pa.array(aa[keep], type=pa.int64()),
-                "b": pa.array(bb[keep], type=pa.int64()),
-                "jaccard": pa.array(jac[keep], type=pa.float64()),
-            }
-        )
+        aa = bb = np.empty(0, dtype=np.int64)
+        if batch.num_rows:  # an empty block may come without a schema
+            aa = np.asarray(batch.column("a")).astype(np.int64)
+            bb = np.asarray(batch.column("b")).astype(np.int64)
+        return verify_pairs_csr(aa, bb, ray.get(sk_ref), cfg)  # zero-copy plasma read
 
     return pairs_ds.map_batches(
         functools.partial(verify_block, cfg=cfg),

@@ -52,11 +52,9 @@ class CheckpointContext:
             return build(), fp
 
         stage_dir = os.path.join(self.root, stage)
-        lineage_path = os.path.join(stage_dir, LINEAGE_FILE)
         data_dir = os.path.join(stage_dir, DATA_SUBDIR)
-        if os.path.exists(lineage_path):
-            with open(lineage_path) as f:
-                lineage = json.load(f)
+        lineage = self._lineage(stage)
+        if lineage is not None:
             if lineage.get("fingerprint") == fp:
                 self.counters[stage] = {**lineage, "resumed": True}
                 return rd.read_parquet(data_dir), fp
@@ -88,6 +86,27 @@ class CheckpointContext:
             "checkpointed": True,
         }
         return rd.read_parquet(data_dir), fp
+
+    def _lineage(self, stage: str) -> dict | None:
+        path = os.path.join(self.root, stage, LINEAGE_FILE)
+        if not os.path.exists(path):
+            return None
+        with open(path) as f:
+            return json.load(f)
+
+    def resumes_chain(self, input_fp: str, stages: tuple[str, ...]) -> bool:
+        """Whether ``run_stage`` would resume every one of ``stages``, run in
+        order with each stage's fingerprint as the next one's input, from
+        ``input_fp`` — so a caller can skip work only those builds need."""
+        if self.root is None:
+            return False
+        fp = input_fp
+        for stage in stages:
+            fp = stage_fingerprint(stage, self.config_hash, fp)
+            lineage = self._lineage(stage)
+            if lineage is None or lineage.get("fingerprint") != fp:
+                return False
+        return True
 
 
 def _count_parquet_rows(data_dir: str) -> int:

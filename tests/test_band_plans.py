@@ -1,8 +1,8 @@
 """candidate_pairs' two physical plans: the local plan (every band row in
 one ``repartition(1)`` block, one emit+dedup task) and the two-hash-shuffle
 plan must return byte-identical pair sets, salted or not; the gate between
-them holds the measured row cap, the per-CPU heap and the object store; and the local plan lets the whole
-pipeline run on a 1-CPU Ray node."""
+them holds the measured row cap, the per-CPU heap and the object store; and
+the whole pipeline runs on a 1-CPU Ray node on either back-half plan."""
 
 import json
 import os
@@ -120,21 +120,44 @@ _ONE_CPU_RUN = textwrap.dedent(
     from dynaalign_ray.config import DedupConfig
     from dynaalign_ray.fixtures import generate_pages
     from dynaalign_ray.pipelines.neardup import near_dedup
-    pages, _ = generate_pages(2000, seed=42)
-    res = near_dedup(pages_ds=rd.from_arrow(pages), cfg=DedupConfig(), num_partitions=4)
+    from dynaalign_ray.stages import bands
+    n_pages, staged = int(sys.argv[2]), sys.argv[3] == "staged"
+    cfg = DedupConfig()
+    if staged:
+        # the gate shut: hash shuffles in candidate_pairs, and the
+        # contraction CC's keyed repartition
+        bands.fits_local_plan = lambda *a, **k: False
+        cfg = DedupConfig(small_cc_limit=0)
+    pages, _ = generate_pages(n_pages, seed=42)
+    res = near_dedup(pages_ds=rd.from_arrow(pages), cfg=cfg, num_partitions=4)
     rows = res.clusters.take_all()
+    plan = [res.stats["back_half"]["plan"], res.stats["cc"]["mode"]]
     ray.shutdown()
-    json.dump({str(r["doc_id"]): int(r["cluster_id"]) for r in rows}, open(sys.argv[1], "w"))
+    json.dump({"plan": plan, "clusters": {str(r["doc_id"]): int(r["cluster_id"]) for r in rows}},
+              open(sys.argv[1], "w"))
     """
 )
 
 
 def test_near_dedup_completes_on_one_cpu(tmp_path):
-    """At num_cpus=1 the shuffle plan's aggregator actors hold a CPU share
-    that no 1-CPU map task can then get; below the gate candidate_pairs
-    starts none, so a 2k-page run finishes.  It runs in its own process
-    group under a timeout, and the whole group is killed afterwards, so a
-    hang can leave no Ray process behind."""
+    """Below the gate the back half is one Ray task and starts no shuffle
+    aggregator, so a 2k-page run finishes at num_cpus=1."""
+    _check_one_cpu_run(tmp_path, 2000, ["task", "driver_union_find"])
+
+
+def test_staged_plan_completes_on_one_cpu(tmp_path):
+    """At num_cpus=1 hash-shuffle aggregators reserve no CPU share
+    (``exec.configure_context``); with any share, no 1-CPU map task could be
+    scheduled after them.  So the staged plan, forced through the gate into
+    candidate_pairs' hash shuffles and the contraction CC, finishes too."""
+    _check_one_cpu_run(tmp_path, 1000, ["staged", "contraction"])
+
+
+def _check_one_cpu_run(tmp_path, n_pages: int, plan: list[str]) -> None:
+    """near_dedup on ``n_pages`` at num_cpus=1 must run ``plan`` (back half,
+    CC mode) and match the oracle.  It runs in its own process group under a
+    timeout, and the whole group is killed afterwards, so a hang can leave
+    no Ray process behind."""
     from dynaalign_ray.config import DedupConfig
     from dynaalign_ray.extract import extract_text
     from dynaalign_ray.fixtures import generate_pages
@@ -147,7 +170,7 @@ def test_near_dedup_completes_on_one_cpu(tmp_path):
     log = tmp_path / "run.log"
     with open(log, "wb") as f:
         proc = subprocess.Popen(
-            [sys.executable, "-c", _ONE_CPU_RUN, str(out)],
+            [sys.executable, "-c", _ONE_CPU_RUN, str(out), str(n_pages), plan[0]],
             env=env,
             start_new_session=True,
             stdout=f,
@@ -156,7 +179,7 @@ def test_near_dedup_completes_on_one_cpu(tmp_path):
     try:
         proc.wait(timeout=300)
     except subprocess.TimeoutExpired:
-        pytest.fail("near_dedup at num_cpus=1 did not finish in 300 s")
+        pytest.fail(f"near_dedup at num_cpus=1 ({plan[0]} plan) did not finish in 300 s")
     finally:
         try:
             os.killpg(proc.pid, signal.SIGKILL)
@@ -164,9 +187,11 @@ def test_near_dedup_completes_on_one_cpu(tmp_path):
             pass
         proc.wait()
     assert proc.returncode == 0, log.read_text(errors="replace")[-2000:]
-    clusters = {int(k): v for k, v in json.loads(out.read_text()).items()}
+    got = json.loads(out.read_text())
+    assert got["plan"] == plan
+    clusters = {int(k): v for k, v in got["clusters"].items()}
 
-    pages, _ = generate_pages(2000, seed=42)
+    pages, _ = generate_pages(n_pages, seed=42)
     texts = [extract_text(h) for h in pages.column("html").to_pylist()]
     ids = doc_id_from_urls(pages.column("url").to_pylist()).tolist()
     oracle = union_find_clusters(true_pairs(texts, ids, DedupConfig()), ids)
