@@ -30,15 +30,10 @@ import pyarrow as pa
 
 from dynaalign_ray.exec import broadcast_put
 from dynaalign_ray.hashing import mix64
+from dynaalign_ray.shingles import list_matrix
 
 U64 = np.uint64
 
-
-def _matrix(batch: pa.Table, col: str) -> np.ndarray:
-    arr = batch.column(col).combine_chunks()
-    values = np.asarray(arr.values, dtype=np.float64)
-    dim = len(arr[0]) if len(arr) else 0
-    return values.reshape(-1, dim)
 
 
 def train_pq(
@@ -77,7 +72,7 @@ def train_pq(
         )
         if t.num_rows and col in t.column_names
     ]
-    sample = _matrix(pa.concat_tables(parts).combine_chunks(), col)
+    sample = list_matrix(pa.concat_tables(parts).column(col), np.float64)
     n_s, d = sample.shape
     if d % m:
         raise ValueError(f"dim {d} not divisible by m={m}")
@@ -140,7 +135,7 @@ def encode_pq(
     # pools can on a small cluster (stages/minhash.py uses the same shape)
     def encode_batch(batch: pa.Table) -> pa.Table:
         bks = ray.get(books_ref) if isinstance(books_ref, ray.ObjectRef) else books_ref
-        x = _matrix(batch, col)
+        x = list_matrix(batch.column(col), np.float64)
         codes = _encode_matrix(x, bks)
         n = len(codes)
         offsets = np.arange(0, (n + 1) * m, m, dtype=np.int32)

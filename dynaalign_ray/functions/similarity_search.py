@@ -19,13 +19,8 @@ import numpy as np
 import pyarrow as pa
 
 from dynaalign_ray.hashing import U64, mix64
+from dynaalign_ray.shingles import list_matrix
 
-
-def _embedding_matrix(batch: pa.Table, col: str) -> np.ndarray:
-    arr = batch.column(col).combine_chunks()
-    values = np.asarray(arr.values, dtype=np.float64)
-    dim = len(arr[0]) if len(arr) else 0
-    return values.reshape(-1, dim)
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -40,7 +35,7 @@ def _local_topk(
     import ray
 
     queries = ray.get(query_ref)  # (q, dim), L2-normalized
-    vecs = _normalize(_embedding_matrix(batch, col))
+    vecs = _normalize(list_matrix(batch.column(col), np.float64))
     ids = np.asarray(batch.column(id_col)).astype(np.int64)
     sims = vecs @ queries.T  # (n, q)
     n, q = sims.shape
@@ -236,13 +231,13 @@ def cosine_neardup_pairs(
     parts = [t for t in (ray.get(r) for r in refs) if t.num_rows]
     full = pa.concat_tables(parts).combine_chunks()
     all_ids = np.asarray(full.column("vec_id")).astype(np.int64)
-    all_vecs = _normalize(_embedding_matrix(full, "embedding"))
+    all_vecs = _normalize(list_matrix(full.column("embedding"), np.float64))
     mat_ref = broadcast_put((all_ids, all_vecs))
 
     def block_pairs(batch: pa.Table) -> pa.Table:
         ids_all, vecs_all = ray.get(mat_ref)  # zero-copy plasma read
         ids = np.asarray(batch.column(id_col)).astype(np.int64)
-        vecs = _normalize(_embedding_matrix(batch, col))
+        vecs = _normalize(list_matrix(batch.column(col), np.float64))
         sims = vecs @ vecs_all.T  # (block, n)
         hit = (sims >= threshold) & (ids[:, None] < ids_all[None, :])
         bi, gj = np.nonzero(hit)
@@ -300,7 +295,7 @@ def _cosine_pairs_striped(
             return np.empty(0, np.int64), np.empty((0, 0), np.float64)
         full = pa.concat_tables(parts).combine_chunks()
         ids = np.asarray(full.column("vec_id")).astype(np.int64)
-        vecs = _normalize(_embedding_matrix(full, "embedding"))
+        vecs = _normalize(list_matrix(full.column("embedding"), np.float64))
         return ids, vecs
 
     grp_refs = [
@@ -435,7 +430,7 @@ def cosine_neardup_lsh(
         band_bits = band_bits if band_bits is not None else auto_r
     def explode(batch: pa.Table) -> pa.Table:
         ids = np.asarray(batch.column(id_col)).astype(np.int64)
-        vecs = _normalize(_embedding_matrix(batch, col))
+        vecs = _normalize(list_matrix(batch.column(col), np.float64))
         n, dim = vecs.shape
         planes = np.random.Generator(np.random.PCG64(seed)).standard_normal(
             (n_bands * band_bits, dim)
@@ -654,7 +649,7 @@ def cosine_neardup_kmeans(
     def explode(batch: pa.Table) -> pa.Table:
         c = ray.get(cent_ref)
         ids = np.asarray(batch.column(id_col)).astype(np.int64)
-        vecs = _normalize(_embedding_matrix(batch, col))
+        vecs = _normalize(list_matrix(batch.column(col), np.float64))
         sims = vecs @ c.T
         if p == 1:
             key = np.argmax(sims, axis=1).astype(np.int64)
@@ -836,7 +831,7 @@ def train_centroids(
         if t.num_rows
     ]
     sample = _normalize(
-        _embedding_matrix(pa.concat_tables(parts).combine_chunks(), "embedding")
+        list_matrix(pa.concat_tables(parts).column("embedding"), np.float64)
     )
     m = sample.shape[0]
     kk = min(n_centroids, m)
@@ -875,7 +870,7 @@ def ivf_assign(
 
     def assign(batch: pa.Table) -> pa.Table:
         cent = ray.get(ref)
-        vecs = _normalize(_embedding_matrix(batch, col))
+        vecs = _normalize(list_matrix(batch.column(col), np.float64))
         cid = np.argmax(vecs @ cent.T, axis=1).astype(np.int64)
         return batch.append_column("centroid_id", pa.array(cid, type=pa.int64()))
 
@@ -918,7 +913,7 @@ def ivf_topk(
 
     def local(batch: pa.Table) -> pa.Table:
         queries, cc, probes = ray.get(ref)
-        vecs = _normalize(_embedding_matrix(batch, col))
+        vecs = _normalize(list_matrix(batch.column(col), np.float64))
         ids = np.asarray(batch.column(id_col)).astype(np.int64)
         assign = np.argmax(vecs @ cc.T, axis=1)
         out_q, out_id, out_sim = [], [], []
@@ -993,7 +988,7 @@ def lsh_bucket_topk(
 
     def local(batch: pa.Table) -> pa.Table:
         queries, pl, probe_sets = ray.get(ref)
-        vecs = _normalize(_embedding_matrix(batch, col))
+        vecs = _normalize(list_matrix(batch.column(col), np.float64))
         ids = np.asarray(batch.column(id_col)).astype(np.int64)
         sig = (vecs @ pl.T > 0).astype(np.uint64)
         bits = (sig << np.arange(pl.shape[0], dtype=np.uint64)).sum(axis=1)

@@ -14,6 +14,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from dynaalign_ray.config import DedupConfig
+from dynaalign_ray.shingles import list_matrix
 
 
 def _docs(sf_dir: str, columns=None):
@@ -1913,10 +1914,7 @@ def embedding_label_norms(sf_dir: str, num_partitions: int = 8):
     emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
 
     def norms(batch: pa.Table) -> pa.Table:
-        arr = batch.column("embedding").combine_chunks()
-        vals = np.asarray(arr.values, dtype=np.float64)
-        dim = len(arr[0]) if len(arr) else 1
-        m = vals.reshape(-1, dim)
+        m = list_matrix(batch.column("embedding"), np.float64)
         return pa.table(
             {
                 "label": batch.column("label").cast(pa.int64()),
@@ -2661,8 +2659,7 @@ def media_codec_summary(sf_dir: str, num_partitions: int = 4):
                     ("f_max", pa.float64()),
                 ]
             ).empty_table()
-        f = batch.column("feature").combine_chunks()
-        arr = np.asarray(f.values, dtype=np.float64).reshape(batch.num_rows, -1)
+        arr = list_matrix(batch.column("feature"), np.float64)
         return pa.table(
             {
                 "media_id": batch.column("media_id"),
@@ -2730,8 +2727,7 @@ def media_features(sf_dir: str, num_partitions: int = 4):
     )
 
     def summarize(batch: pa.Table) -> pa.Table:
-        f = batch.column("feature").combine_chunks()
-        arr = np.asarray(f.values, dtype=np.float64).reshape(batch.num_rows, -1)
+        arr = list_matrix(batch.column("feature"), np.float64)
         return pa.table(
             {
                 "media_id": batch.column("media_id"),
@@ -4643,10 +4639,8 @@ def embedding_label_centroid(sf_dir: str, num_partitions: int = 8):
     emb = rd.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
 
     def partials(batch: pa.Table) -> pa.Table:
-        arr = batch.column("embedding").combine_chunks()
-        vals = np.asarray(arr.values, dtype=np.float64)
-        dim = len(arr[0]) if len(arr) else 1
-        m = vals.reshape(-1, dim)
+        m = list_matrix(batch.column("embedding"), np.float64)
+        dim = m.shape[1]
         # half-away-from-zero, matching SQL round() (np.rint is half-even)
         scaled = np.sign(m * 1e6) * np.floor(np.abs(m * 1e6) + 0.5)
         scaled = scaled.astype(np.int64)

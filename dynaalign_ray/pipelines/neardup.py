@@ -295,18 +295,7 @@ def near_dedup(
         cc_info = {"n_edges": edges.count(), "mode": "driver_union_find", "rounds": 1,
                    "converged": True}
     else:
-        if cluster_backend is not None:
-            # the reference's cluster_fn injection point
-            # (R/clusterbreak.R:185-188, netcluster's cluster_func): any
-            # callable (edges_ds, num_partitions) -> labels Dataset(node, label)
-            labels = cluster_backend(cluster_edges, P)
-            cc_info = {"mode": "custom", "n_edges": cluster_edges.count()}
-            labels_table = None
-        else:
-            labels, cc_info = connected_components(
-                cluster_edges, P, cfg.max_cc_rounds, cfg.small_cc_limit
-            )
-            labels_table = cc_info.pop("labels_table", None)
+        cc_info = {}
         # doc-id source for the final cluster assignment: the signature
         # table carries one row per doc, so the (wide) docs table never
         # re-executes
@@ -315,11 +304,28 @@ def near_dedup(
             if similarity_backend == "substring"
             else sigs.select_columns(["doc_id"])
         )
-        clusters, _ = ckpt.run_stage(
-            "clusters",
-            fp_edges,
-            lambda: assign_clusters(ids_ds, labels, P, labels_table=labels_table),
-        )
+
+        def _clusters():
+            # CC runs inside the build, so a resumed clusters stage never
+            # solves a union-find only to discard its labels
+            if cluster_backend is not None:
+                # the reference's cluster_fn injection point
+                # (R/clusterbreak.R:185-188, netcluster's cluster_func): any
+                # callable (edges_ds, num_partitions) -> labels Dataset(node, label)
+                labels = cluster_backend(cluster_edges, P)
+                cc_info.update(mode="custom", n_edges=cluster_edges.count())
+                labels_table = None
+            else:
+                labels, info = connected_components(
+                    cluster_edges, P, cfg.max_cc_rounds, cfg.small_cc_limit
+                )
+                labels_table = info.pop("labels_table", None)
+                cc_info.update(info)
+            return assign_clusters(ids_ds, labels, P, labels_table=labels_table)
+
+        clusters, _ = ckpt.run_stage("clusters", fp_edges, _clusters)
+    if ckpt.counters["clusters"].get("resumed"):
+        cc_info = {"mode": "resumed", "n_edges": cluster_edges.count()}
     stats = {
         "cc": cc_info,
         "back_half": back_half,

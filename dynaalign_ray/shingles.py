@@ -1,6 +1,12 @@
-"""Vectorized shingling + signature kernels (pure numpy, batch-level).
+"""Vectorized shingling + signature kernels (batch-level).
 
-Re-expresses the reference's per-document loops as whole-batch array ops:
+Re-expresses the reference's per-document loops as whole-batch array ops.
+The numpy bodies below are the specification; word-mode token hashing and
+windowing, MinHash, SimHash and bottom-k sketching each first try a C
+loop from :mod:`dynaalign_ray.ckernels` that returns byte-identical arrays
+without numpy's batch-sized temporaries, and run the numpy body when the
+kernel is unavailable.  Tokenisation stays in Arrow
+(``pc.utf8_split_whitespace``) on both paths.
 
 - ``shingle`` / ``generate_kmers`` (/root/reference/R/minHash.R:12-23,
   src/minHash.cpp:92-105): instead of materializing shingle *strings*, we
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from dynaalign_ray import ckernels
 from dynaalign_ray.hashing import U64, hash_u64, mix64, poly_powers
 
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -62,6 +69,34 @@ def varlen_offsets(arr) -> np.ndarray:
     ]
 
 
+def list_matrix(col, dtype=None) -> np.ndarray:
+    """The rows of an equal-length Arrow list column (list, large_list or
+    fixed_size_list; Array or ChunkedArray) as a ``(rows, dim)`` matrix.
+
+    Built on ``pc.list_flatten``, which reads only the array's own rows:
+    ``arr.values`` is the whole child buffer, so on a sliced batch it also
+    returns rows outside the slice.  Null or ragged rows raise."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    flat = np.asarray(pc.list_flatten(arr), dtype=dtype)
+    n = len(arr)
+    dim = len(flat) // n if n else 0
+    if arr.null_count or (
+        n and not (np.asarray(pc.list_value_length(arr)) == dim).all()
+    ):
+        raise ValueError("list column has null or ragged rows")
+    return flat.reshape(n, dim)
+
+
+def _utf8_data(arr) -> np.ndarray:
+    """The data buffer of an Arrow string array as uint8 (empty when Arrow
+    allocated none, as it may for an array of empty strings)."""
+    buf = arr.buffers()[2]
+    return np.frombuffer(buf, dtype=np.uint8) if buf is not None else np.empty(0, np.uint8)
+
+
 def _hash_utf8_spans(arr, seed: int) -> np.ndarray:
     """Vectorized uint64 hash of every string in an Arrow StringArray,
     computed directly off the (offsets, data) buffers — no Python string
@@ -74,9 +109,12 @@ def _hash_utf8_spans(arr, seed: int) -> np.ndarray:
     n = len(arr)
     if n == 0:
         return np.empty(0, dtype=U64)
-    bufs = arr.buffers()
     offs = varlen_offsets(arr)
-    data = np.frombuffer(bufs[2], dtype=np.uint8)
+    data = _utf8_data(arr)
+    # C path: one Horner loop per string, no per-byte uint64 temporaries
+    fused = ckernels.hash_utf8_spans(offs, data, seed)
+    if fused is not None:
+        return fused
     lo, hi = int(offs[0]), int(offs[-1])
     b = data[lo:hi].astype(U64)
     s = (offs[:-1] - lo).astype(np.int64)
@@ -114,11 +152,18 @@ def _word_shingles_arrow(col, k: int) -> tuple[np.ndarray, np.ndarray]:
     total = int(counts_tok.sum())
     if total == 0:
         return _combine_doc_windows(np.empty(0, dtype=U64), counts_tok, k, n_docs)
-    all_hashes = _hash_utf8_spans(flat, seed=0x5417)
     # Arrow's split keeps empty strings at whitespace boundaries ("" for an
     # empty doc, leading/trailing for padded ones); Python str.split drops
-    # them — filter to match (order within each doc is preserved)
+    # them — both paths skip them (order within each doc is preserved)
     foffs = varlen_offsets(flat)
+    # C path: token hashes and windows in one pass per doc, written straight
+    # into the window array (no global token-hash array or boundary mask)
+    fused = ckernels.word_shingles(
+        foffs, _utf8_data(flat), counts_tok, poly_powers(k), seed=0x5417
+    )
+    if fused is not None:
+        return fused
+    all_hashes = _hash_utf8_spans(flat, seed=0x5417)
     nonempty = np.diff(foffs) > 0
     if not nonempty.all():
         doc_of_tok = np.repeat(np.arange(n_docs, dtype=np.int64), counts_tok)
@@ -218,8 +263,6 @@ def minhash_signatures(
     # fused C path: keeps the num_perm minima in L1 and reads each shingle
     # once (the numpy chunked form below streams (perm_chunk, n_shingles)
     # DRAM temporaries — memory-bandwidth-bound under concurrent workers)
-    from dynaalign_ray import ckernels
-
     all_starts = np.zeros(n_docs, dtype=np.int64)
     np.cumsum(counts[:-1], out=all_starts[1:])
     fused = ckernels.minhash_segments(shingle_hashes, all_starts, counts, a, b)
@@ -255,8 +298,6 @@ def simhash_signatures(
         return out
     # fused C path (see minhash_signatures): per-segment bit counters stay
     # in registers instead of an (n_shingles, bit_chunk) DRAM temporary
-    from dynaalign_ray import ckernels
-
     all_starts = np.zeros(n_docs, dtype=np.int64)
     np.cumsum(counts[:-1], out=all_starts[1:])
     fused = ckernels.simhash_segments(shingle_hashes, all_starts, counts)
@@ -287,6 +328,11 @@ def bottomk_sketches(
     stand-in for the reference's characteristic matrix column
     (R/minHash.R:60-66): the doc's shingle *set*, kept sparse.
     """
+    # C path: sort + unique per doc segment (numpy's lexsort below sorts the
+    # whole batch by a (doc, hash) key through multi-MB temporaries)
+    fused = ckernels.bottomk_segments(shingle_hashes, counts, cap)
+    if fused is not None:
+        return fused
     n_docs = len(counts)
     sizes = np.zeros(n_docs, dtype=np.int64)
     if len(shingle_hashes) == 0:

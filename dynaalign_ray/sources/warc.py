@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import uuid
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -65,6 +66,15 @@ def _iso_from_us(us: int) -> str:
     # WARC/1.1 allows fractional seconds; always emit microseconds so the
     # roundtrip is exact at the pages schema's us resolution
     return dt.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+
+
+def _record_id(h) -> str:
+    """A record's WARC-Record-ID from its 64-bit url hash: an RFC 4122
+    version-4 UUID whose two 64-bit halves are both the hash (the version
+    and variant bits overwrite 6 bits, each still held by the other half,
+    so distinct hashes keep distinct ids)."""
+    h = int(h)
+    return f"<urn:uuid:{uuid.UUID(int=(h << 64) | h, version=4)}>"
 
 
 def _us_from_iso(s: str) -> int:
@@ -143,7 +153,7 @@ def write_warc(
                         ("WARC-Type", "response"),
                         ("WARC-Target-URI", url),
                         ("WARC-Date", _iso_from_us(int(us[i]))),
-                        ("WARC-Record-ID", f"<urn:uuid:{int(rid[i]):032x}>"),
+                        ("WARC-Record-ID", _record_id(rid[i])),
                         ("Content-Type", "application/http;msgtype=response"),
                     ],
                     http,
@@ -335,7 +345,7 @@ def write_wet(
                     ("WARC-Type", "conversion"),
                     ("WARC-Target-URI", url),
                     ("WARC-Date", _iso_from_us(int(us[i]))),
-                    ("WARC-Record-ID", f"<urn:uuid:{int(rid[i]):032x}>"),
+                    ("WARC-Record-ID", _record_id(rid[i])),
                     ("Content-Type", "text/plain"),
                 ],
                 text.encode("utf-8"),

@@ -33,6 +33,7 @@ import pyarrow as pa
 
 from dynaalign_ray.config import DedupConfig
 from dynaalign_ray.hashing import U64, make_band_salts, mix64, poly_powers, to_id63
+from dynaalign_ray.shingles import list_matrix
 
 
 def band_keys_matrix(sig: np.ndarray, num_bands: int, salts: np.ndarray) -> np.ndarray:
@@ -75,8 +76,7 @@ def explode_bands(
                 "doc_id": pa.array([], type=pa.int64()),
             }
         )
-    mh = batch.column("minhash").combine_chunks()
-    sig = np.asarray(mh.values).reshape(-1, cfg.num_perm)[mask]
+    sig = list_matrix(batch.column("minhash"))[mask]
     salts = make_band_salts(cfg.num_bands, cfg.seed)
     keys = band_keys_matrix(sig, cfg.num_bands, salts)  # (n, num_bands)
 

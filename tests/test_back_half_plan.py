@@ -130,3 +130,34 @@ def test_resume_with_the_task_plan(ray_session, monkeypatch, tmp_path):
         "docs": True, "signatures": True, "pairs": True, "edges": False, "clusters": False,
     }
     assert _outputs(part) == want
+
+
+def test_staged_resume_does_not_solve_cc(ray_session, monkeypatch, tmp_path):
+    """A resumed clusters stage reports its edge count and runs no CC."""
+    from dynaalign_ray.config import DedupConfig
+    from dynaalign_ray.pipelines import neardup
+    from dynaalign_ray.stages import bands, cluster
+
+    monkeypatch.setattr(bands, "fits_local_plan", lambda *a, **k: False)
+    ckpt = str(tmp_path / "ckpt")
+
+    def run():
+        return neardup.near_dedup(
+            pages_ds=_pages_ds(800, 0.05), cfg=DedupConfig(), checkpoint_dir=ckpt,
+            num_partitions=4,
+        )
+
+    first = run()
+    assert first.stats["back_half"]["plan"] == "staged"
+    cc = first.stats["cc"]
+    assert cc["mode"] == "driver_union_find" and cc["n_edges"] > 0
+    assert set(cc) == {"n_edges", "mode", "rounds", "converged"}
+
+    def refuse(*a, **k):
+        raise AssertionError("a resumed clusters stage must not run CC")
+
+    monkeypatch.setattr(cluster, "connected_components_small", refuse)
+    full = run()
+    assert all(s["resumed"] for s in full.stats["stages"].values())
+    assert full.stats["cc"] == {"mode": "resumed", "n_edges": cc["n_edges"]}
+    assert _outputs(full) == _outputs(first)

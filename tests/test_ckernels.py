@@ -191,3 +191,13 @@ def test_jaccard_cross_block_empty_rows():
     got = ckernels.jaccard_cross_block(v, sa, ea, v, sa, ea)
     assert got is not None
     np.testing.assert_array_equal(got, [[0.0, 0.0], [0.0, 1.0]])
+
+
+def test_failed_build_warns_with_compiler_stderr(monkeypatch, tmp_path):
+    """A build that fails falls back to numpy, and says so with cc's stderr."""
+    monkeypatch.delenv("DYNAALIGN_NO_CKERNEL", raising=False)
+    monkeypatch.setattr(ckernels, "_CACHE_DIR", str(tmp_path))
+    monkeypatch.setattr(ckernels, "_C_SOURCE", "int broken(void) { return undeclared_name; }\n")
+    with pytest.warns(RuntimeWarning, match="(?s)numpy fallback.*undeclared_name"):
+        assert ckernels._build() is None
+    assert not any(p.suffix == ".so" for p in tmp_path.iterdir())

@@ -47,6 +47,36 @@ class TestRoundtrip:
         p2 = write_warc(pages, str(tmp_path / "x2.warc.gz"))
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
+    def test_record_ids_are_rfc4122(self, tmp_path):
+        """WARC-Record-ID is a dashed version-4 UUID with the RFC 4122
+        variant, one per record, distinct, and derived from the url."""
+        import re
+        import uuid
+
+        from dynaalign_ray.sources.warc import write_wet
+
+        pages = _pages(40)
+        wet = pa.table({
+            "url": pages.column("url"),
+            "warc_ts": pages.column("warc_ts"),
+            "text": pa.array(["t"] * pages.num_rows),
+        })
+        form = re.compile(
+            rb"WARC-Record-ID: <urn:uuid:([0-9a-f]{8}-[0-9a-f]{4}-4[0-9a-f]{3}"
+            rb"-[89ab][0-9a-f]{3}-[0-9a-f]{12})>\r\n"
+        )
+        for write in (write_warc, write_wet):
+            path = write(pages if write is write_warc else wet,
+                         str(tmp_path / f"{write.__name__}.gz"))
+            with gzip.open(path, "rb") as f:
+                raw = f.read()
+            ids = form.findall(raw)
+            assert len(ids) == raw.count(b"WARC-Record-ID:") >= pages.num_rows
+            assert len(set(ids)) == len(ids)
+            for i in ids:
+                u = uuid.UUID(i.decode())
+                assert u.version == 4 and u.variant == uuid.RFC_4122
+
     def test_timestamp_roundtrip_exact(self):
         # every microsecond epoch from 2000 to 2030 survives WARC-Date
         # formatting and parsing; a float-seconds conversion is 1 us off on
