@@ -302,11 +302,12 @@ def run_scaling() -> dict:
 
 def run_plans() -> dict:
     """Time the LARGE-path physical plans above their size gates on the same
-    corpus (VERDICT r1 #8): verify plan 3 (full hash joins — the 100 TB
-    path, normally size-gated off at bench scale) and distributed
-    label-propagation CC (normally the driver union-find wins under 2M
-    edges).  Gates are forced down via the module knobs; recall is re-checked
-    against the default-plan cluster count."""
+    corpus (VERDICT r1 #8): verify plans 2 and 3 (semi-join-reduced and full
+    hash joins — the 100 TB path, normally size-gated off at bench scale),
+    the distributed contraction-round CC (normally the driver union-find
+    wins under 2M edges), the exact all-pairs Jaccard plans and the top-k
+    plans.  Gates are forced down via the module knobs; each plan's result
+    is re-checked against the default plan's."""
     import ray
 
     ray.init(

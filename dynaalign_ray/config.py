@@ -38,24 +38,27 @@ class DedupConfig:
     # --- LSH banding (replaces all-pairs #7/#12 similarity matrix)
     num_bands: int = 32  # num_perm must be divisible by num_bands
     # candidate-pair emission: all pairs while bucket <= pair_cap, star edges
-    # around the bucket-min doc beyond that (keeps connectivity, bounds pairs)
+    # around a hashed hub member beyond that (one of ~4 hub variants per doc
+    # set, chosen by band key; keeps connectivity, bounds pairs)
     pair_cap: int = 64
-    # bucket larger than this is split by salting into sub-buckets linked by
-    # a bridge doc (two-phase emission; SURVEY.md §4 skew row)
+    # bucket larger than this is split by salting into sub-buckets; each
+    # member lands in its own sub-bucket AND the next one (ring overlap), so
+    # the sub-buckets stay connected (SURVEY.md §4 skew row)
     salt_cap: int = 4096
 
     # --- verification + clustering
     tau: float = 0.7  # exact-Jaccard keep threshold (clusterbreak thresh_p analog)
     tau_quantile: float | None = None  # if set, tau := quantile(edge weights, q)
     sketch_cap: int = 512  # bottom-k cap for retained shingle-hash sketches
-    max_cc_rounds: int = 50  # label-propagation round cap (max_itr analog,
+    max_cc_rounds: int = 50  # contraction-round cap (max_itr analog,
     # R/clusterbreak.R:211-215)
     # below this many verified edges, connected components runs as driver-side
-    # union-find (provably small set); above it, distributed label propagation.
+    # union-find (provably small set); above it, distributed contraction
+    # rounds (one keyed shuffle + a local union-find per block per round).
     # Sized to driver memory, not caution: 50M edges = 800 MB of int64 pairs
-    # + a ~seconds numpy union-find — far cheaper than label-prop rounds
-    # (each 2 joins + a groupby over the full edge set).  At 10^12-doc scale
-    # edge counts pass this and label-prop takes over.
+    # + a ~seconds numpy union-find — cheaper than shuffling the full edge
+    # set.  At 10^12-doc scale edge counts pass this and the contraction
+    # rounds take over.
     small_cc_limit: int = 50_000_000
 
     # --- randomness

@@ -84,16 +84,6 @@ def configure_context() -> None:
     ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = per_partition
 
 
-def ensure_schema(ds):
-    """Force schema resolution (cheap metadata fetch for parquet reads, a
-    one-block prefix execution otherwise).  Ray's ``Dataset.join`` with
-    ``validate_schemas=True`` — required: without it, join partitions that
-    receive zero rows of one side crash on a schema-less empty table —
-    needs both operand schemas known up front."""
-    ds.schema()
-    return ds
-
-
 def partial_topk(ds, sort_keys: list[tuple[str, str]], k: int):
     """Global top-k WITHOUT a global sort: per-block partial top-k (each
     block emits <= k rows via one Arrow sort over rows it already holds),

@@ -31,17 +31,6 @@ import struct
 import numpy as np
 import pyarrow as pa
 
-MEDIA_SCHEMA = pa.schema(
-    [
-        ("media_id", pa.int64()),
-        ("media_type", pa.string()),  # "image/x-portable-pixmap", "audio/wav", ...
-        ("payload", pa.binary()),
-        ("width", pa.int32()),
-        ("height", pa.int32()),
-        ("n_bytes", pa.int64()),
-    ]
-)
-
 FEATURE_DIM = 64
 
 PPM_TYPE = "image/x-portable-pixmap"

@@ -17,7 +17,6 @@ import numpy as np
 U64 = np.uint64
 _SPLITMIX_C1 = U64(0xBF58476D1CE4E5B9)
 _SPLITMIX_C2 = U64(0x94D049BB133111EB)
-_GOLDEN = U64(0x9E3779B97F4A7C15)
 _POLY_P = U64(0x100000001B3)  # FNV-ish odd multiplier for window combining
 
 # numpy >=1.24 emits RuntimeWarning-free wraparound for unsigned ints; keep
@@ -55,29 +54,6 @@ def hash_u64(x: np.ndarray, seed: int = 0) -> np.ndarray:
     if seed:
         x = x ^ U64((seed * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF)
     return mix64(x)
-
-
-def combine_windows(token_hashes: np.ndarray, k: int) -> np.ndarray:
-    """Hash every length-k window of ``token_hashes``.
-
-    Returns an array of len(token_hashes) - k + 1 window hashes, where
-    window i combines token_hashes[i : i+k] order-sensitively via a
-    polynomial in _POLY_P followed by a splitmix finalizer.  This is the
-    vectorized analog of hashing each k-shingle string
-    (/root/reference/src/minHash.cpp:154: murmur3 of the kmer string) — we
-    hash tokens once and combine, instead of materializing shingle strings.
-    """
-    t = np.asarray(token_hashes, dtype=U64)
-    n = t.shape[0]
-    if n < k:
-        return np.empty(0, dtype=U64)
-    if k == 1:
-        return mix64(t)
-    w = np.lib.stride_tricks.sliding_window_view(t, k)  # (n-k+1, k) view
-    pows = poly_powers(k)
-    # order-sensitive combine; uint64 wraparound sum
-    acc = (w * pows[np.newaxis, :]).sum(axis=1, dtype=U64)
-    return mix64(acc)
 
 
 def poly_powers(k: int) -> np.ndarray:

@@ -3769,10 +3769,6 @@ def doc_cooccurrence(sf_dir: str, top_w: int = 100, num_partitions: int = 8):
     )
 
 
-# paragraph enc key layout shared with stages/chunk_dedup (doc_id*2^20+no)
-_PARA_CAP = 1 << 20
-
-
 def doc_paragraph_neardup(
     sf_dir: str,
     chunk_words: int = 16,

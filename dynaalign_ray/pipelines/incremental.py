@@ -57,18 +57,6 @@ class IncrementalResult:
     stats: dict = field(default_factory=dict)
 
 
-def _sig_schema(cfg: DedupConfig) -> pa.Schema:
-    return pa.schema(
-        [
-            ("doc_id", pa.int64()),
-            ("minhash", pa.list_(pa.uint64(), cfg.num_perm)),
-            ("simhash", pa.uint64()),
-            ("n_shingles", pa.int64()),
-            ("sketch", pa.binary()),
-        ]
-    )
-
-
 def build_index(
     docs_ds,
     cfg: DedupConfig = DedupConfig(),

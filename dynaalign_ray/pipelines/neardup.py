@@ -139,34 +139,29 @@ def near_dedup(
         "signatures", fp_docs, lambda: signatures_dataset(docs_ds, cfg)
     )
     if checkpoint_dir is None and similarity_backend != "substring":
-        # signatures fan out to: hot-key count, band explode, verify join ×2,
-        # final assignment — the ONE pinned intermediate on the default path
-        # (extract fused upstream, everything downstream streams).  The
-        # substring backend never consumes signatures, so there they stay lazy.
+        # signatures fan out to the hot-key pass and then either the
+        # one-task back half (its block refs) or, on the staged plan, band
+        # explode, verify and the final assignment — the ONE pinned
+        # intermediate on the default path (extract fused upstream,
+        # everything downstream streams).  The substring backend never
+        # consumes signatures, so there they stay lazy.
         sigs = sigs.materialize()
     # pluggable similarity backend (the reference's sim_fn injection point,
     # R/clusterbreak.R:185-188): minhash (LSH + exact-Jaccard verify,
     # default), simhash (banded Hamming), substring (winnowing long-match)
     back_half = {"plan": "staged"}
     if similarity_backend == "minhash":
-        # row-count hint lets hot-key detection pick the no-shuffle
+        # the row count lets hot-key detection pick the no-shuffle
         # driver-merge plan and the back half its one-task or one-block
-        # plans below the memory gate (prefer the caller's approx_rows hint;
-        # sigs is materialized or a Parquet checkpoint here, so count() is
-        # metadata-cheap)
-        n_rows = None
-        try:
-            n_rows = approx_rows if approx_rows is not None else sigs.count()
-        except Exception:
-            pass
-        n_band_rows = None if n_rows is None else n_rows * cfg.num_bands
+        # plans below the memory gate.  It is the real signature count, not
+        # the caller's approx_rows hint: a low hint would let the one-task
+        # plan run past the gate's row and heap bounds.  sigs is
+        # materialized or a Parquet checkpoint here, so count() reads
+        # metadata only.
+        n_rows = sigs.count()
+        n_band_rows = n_rows * cfg.num_bands
         hot_keys = None
-        if (
-            n_rows is not None
-            and cluster_backend is None
-            and edge_filter is None
-            and cfg.tau_quantile is None
-        ):
+        if cluster_backend is None and edge_filter is None and cfg.tau_quantile is None:
             if ckpt.resumes_chain(fp_sigs, ("pairs", "edges", "clusters")):
                 back_half = {"plan": "resumed"}
             else:

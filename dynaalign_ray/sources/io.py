@@ -9,9 +9,6 @@ skip finished partitions (resume story, with state/lineage.py on top).
 
 from __future__ import annotations
 
-PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
-
-
 def read_pages(path: str, *, with_html: bool = True, with_text: bool = False):
     """Read a Common-Crawl-style pages table (BASELINE.json input_hint
     shape).  By default only the columns the extract stage needs leave

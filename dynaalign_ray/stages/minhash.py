@@ -21,9 +21,6 @@ from dynaalign_ray.shingles import (
     simhash_signatures,
 )
 
-SIGNATURE_SCHEMA_COLS = ("doc_id", "minhash", "simhash", "n_shingles", "sketch")
-
-
 import functools
 
 

@@ -25,7 +25,6 @@ from dynaalign_ray.stages.blosum import TABLES as _BLOSUM_TABLES
 
 AA_ALPHABET = "ARNDCQEGHILKMFPSTWYVBZX*"  # aa_to_index order, pairwiseSeqAlign.cpp:15-21
 
-_AA_INDEX = {c: i for i, c in enumerate(AA_ALPHABET)}
 _NEG_INF = -(10**9)
 
 

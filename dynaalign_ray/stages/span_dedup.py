@@ -85,35 +85,6 @@ def window_keys_batch(batch: pa.Table, *, k: int) -> pa.Table:
     )
 
 
-def duplicate_window_table(docs_ds, num_partitions: int, *, k: int):
-    """docs -> (win_hash, winner_enc) for window hashes with >= 2 occurrences.
-
-    Hash-repartition by win_hash then ONE Arrow ``group_by`` per block
-    (``batch_size=None`` = whole block, so each key is wholly local) — 7x
-    faster than Ray's groupby().aggregate() at ~10^6 distinct keys, where
-    per-key aggregate state dominates."""
-
-    ex = docs_ds.map_batches(
-        functools.partial(window_keys_batch, k=k),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-    def group_dups(b: pa.Table) -> pa.Table:
-        g = b.group_by("win_hash").aggregate([("enc", "min"), ("enc", "count")])
-        g = g.filter(pc.greater(g.column("enc_count"), 1))
-        return pa.table(
-            {"win_hash": g.column("win_hash"), "winner_enc": g.column("enc_min")}
-        )
-
-    return ex.repartition(num_blocks=num_partitions, keys=["win_hash"]).map_batches(
-        group_dups,
-        batch_size=None,
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-    )
-
-
 def _dup_and_losers(docs_ds, num_partitions: int, *, k: int):
     """One explode + ONE keyed shuffle -> tagged union per block:
 

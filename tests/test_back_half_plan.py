@@ -161,3 +161,22 @@ def test_staged_resume_does_not_solve_cc(ray_session, monkeypatch, tmp_path):
     assert all(s["resumed"] for s in full.stats["stages"].values())
     assert full.stats["cc"] == {"mode": "resumed", "n_edges": cc["n_edges"]}
     assert _outputs(full) == _outputs(first)
+
+
+def test_gate_counts_signatures_not_the_row_hint(ray_session, monkeypatch):
+    """A low ``approx_rows`` hint must not let the one-task plan past the
+    gate: the back half is sized from the real signature count."""
+    from dynaalign_ray.config import DedupConfig
+    from dynaalign_ray.pipelines.neardup import near_dedup
+    from dynaalign_ray.stages import bands
+
+    # 400 pages x 32 bands = 12,800 band rows: over this cap, under the hint's
+    monkeypatch.setattr(bands, "_LOCAL_PLAN_MAX_BAND_ROWS", 1_000)
+    res = near_dedup(
+        pages_ds=_pages_ds(400, 0.05), cfg=DedupConfig(), num_partitions=2, approx_rows=1
+    )
+    plan = res.stats["back_half"]
+    assert plan["plan"] == "staged"
+    assert plan["docs"] == 400
+    assert plan["band_rows"] == 400 * DedupConfig().num_bands
+    assert res.clusters.count() == 400
