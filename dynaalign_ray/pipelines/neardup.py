@@ -10,21 +10,26 @@ traced in SURVEY.md §3.3/§3.4):
         --> pairs, verified_edges, clusters
       above it, staged (Ray Data per stage):
         --explode bands--> band_entries
-        --one repartition(1) block below the band-row memory gate
-          | hash shuffles on band_key, then (a, b), above it--> pairs
+        --hash shuffles on band_key, then (a, b)--> pairs
         --broadcast sketch CSR | ⋈ sketches, exact-Jaccard tau filter-->
           verified_edges
         --driver union-find | contraction rounds--> clusters/dedup decisions
+      with ``tau_quantile``, ``edge_filter`` or ``cluster_backend``, on
+      either plan: verified_edges --quantile refilter--> --edge_filter-->
+        --driver union-find | contraction rounds | cluster_backend-->
+        clusters/dedup decisions
 
 Below the gate the work after ``signatures`` is tiny (4.5k pairs at 3k
 pages, tens of ms of kernels), and running it as five Ray Data executions
 cost ~0.5 s of engine overhead per call; the one task runs the same
-kernels, so both plans give byte-identical pairs, edges and clusters.  The
-task plan is taken only where every staged gate would pick its
-single-process plan anyway (``_task_plan_sizes``), and never with
-``edge_filter``, ``tau_quantile`` or ``cluster_backend``, or with the
-simhash / substring backends.  ``stats["back_half"]`` records the plan and
-the sizes that chose it.
+kernels, so both plans give byte-identical pairs, edges and clusters.  One
+function, ``_task_plan_sizes``, picks the plan: the task runs where its
+worst-case heap fits one CPU's share of memory and where every staged gate
+would pick its single-process plan anyway.  A call with an option takes
+its pairs and edges from the task and clusters them with the staged code;
+the task's own clusters then go unused.  The simhash / substring backends
+always run staged.  ``stats["back_half"]`` records the plan and the sizes
+that chose it.
 
 The reference's recursive size controller with global mutable state becomes
 a flat keyed dataflow; its per-subset quantile threshold
@@ -43,7 +48,12 @@ import pyarrow as pa
 from dynaalign_ray.config import DedupConfig
 from dynaalign_ray.exec import configure_context, pick_num_partitions
 from dynaalign_ray.extract import extract_text_batch
-from dynaalign_ray.stages.bands import _local_pairs_block, candidate_pairs, explode_bands
+from dynaalign_ray.stages.bands import (
+    candidate_pairs,
+    dedup_pairs_block,
+    emit_pairs_block,
+    explode_bands,
+)
 from dynaalign_ray.stages.cluster import (
     _decide,
     assign_clusters,
@@ -102,6 +112,11 @@ def near_dedup(
     if (pages_ds is None) == (docs_ds is None):
         raise ValueError("provide exactly one of pages_ds / docs_ds")
     P = num_partitions or pick_num_partitions(approx_rows)
+    # with any of these the clusters come from the staged clustering code,
+    # on either back-half plan
+    options = (
+        cluster_backend is not None or edge_filter is not None or cfg.tau_quantile is not None
+    )
     # the lineage chain must cover EVERY knob that changes stage outputs,
     # not just DedupConfig: a rerun with a different salt_hot / similarity
     # backend / clustering backend must invalidate stale checkpoints
@@ -152,22 +167,24 @@ def near_dedup(
     back_half = {"plan": "staged"}
     if similarity_backend == "minhash":
         # the row count lets hot-key detection pick the no-shuffle
-        # driver-merge plan and the back half its one-task or one-block
-        # plans below the memory gate.  It is the real signature count, not
-        # the caller's approx_rows hint: a low hint would let the one-task
-        # plan run past the gate's row and heap bounds.  sigs is
-        # materialized or a Parquet checkpoint here, so count() reads
-        # metadata only.
+        # driver-merge plan and the back half its one-task plan below the
+        # memory gate.  It is the real signature count, not the caller's
+        # approx_rows hint: a low hint would let the one-task plan run past
+        # the gate's row and heap bounds.  sigs is materialized or a Parquet
+        # checkpoint here, so count() reads metadata only.
         n_rows = sigs.count()
         n_band_rows = n_rows * cfg.num_bands
         hot_keys = None
-        if cluster_backend is None and edge_filter is None and cfg.tau_quantile is None:
-            if ckpt.resumes_chain(fp_sigs, ("pairs", "edges", "clusters")):
-                back_half = {"plan": "resumed"}
-            else:
-                back_half, sigs, hot_keys = _choose_back_half(
-                    sigs, cfg, P, n_rows, salt_hot, checkpointed=checkpoint_dir is not None
-                )
+        # with an option the clusters come from the staged clustering, so
+        # the task builds pairs and edges only; the clusters fingerprint
+        # also carries edge_filter_tag, which the chain cannot know
+        task_stages = ("pairs", "edges") if options else ("pairs", "edges", "clusters")
+        if ckpt.resumes_chain(fp_sigs, task_stages):
+            back_half = {"plan": "resumed"}
+        else:
+            back_half, sigs, hot_keys = _choose_back_half(
+                sigs, cfg, P, n_rows, salt_hot, checkpointed=checkpoint_dir is not None
+            )
         if back_half["plan"] == "task":
             task_out: list = []
 
@@ -201,11 +218,8 @@ def near_dedup(
             )
             if checkpoint_dir is None:
                 pairs = pairs.materialize()
-            n_pairs = None
-            try:
-                n_pairs = pairs.count()
-            except Exception:
-                pass
+            # materialized or a Parquet checkpoint: count() reads metadata
+            n_pairs = pairs.count()
             edges, fp_edges = ckpt.run_stage(
                 "edges",
                 fp_pairs,
@@ -285,7 +299,7 @@ def near_dedup(
             cluster_edges = cluster_edges.materialize()
         fp_edges = f"{fp_edges}|edge_filter:{edge_filter_tag}"
 
-    if back_half["plan"] == "task":
+    if back_half["plan"] == "task" and not options:
         clusters, _ = ckpt.run_stage("clusters", fp_edges, lambda: task_output(2))
         cc_info = {"n_edges": edges.count(), "mode": "driver_union_find", "rounds": 1,
                    "converged": True}
@@ -337,35 +351,91 @@ def near_dedup(
     )
 
 
+_BAND_ROW_BYTES = 16  # int64 band_key + int64 doc_id
+_PAIR_BYTES = 16  # int64 a + int64 b
+# Largest band-row count at which the one-process pair emission was timed
+# against the two-shuffle plan and won: 20k pages x 32 bands (F1 corpus,
+# seed 42, default DedupConfig, 2 logical CPUs on a 4-vCPU VM).  There a
+# near_dedup call took 9.7-12.8 s against 18.4-23.3 s on the two-shuffle
+# plan, and the emit + dedup itself took 0.34 s: spreading it over more CPUs
+# can save at most that, while the shuffle plan's engine overhead was
+# seconds (4.5 s of a 4.6 s band stage at 3k pages).  At 100k pages one
+# process also won at 2 CPUs (48.9 s against 80.6 s, same edges), but it
+# grows with the corpus and was not timed against a 32-CPU shuffle, so
+# larger corpora keep the staged plan.
+_TASK_MAX_BAND_ROWS = 640_000
+# Peak heap of the task, measured three ways:
+# - per band-row byte on F1 corpora (Dataset.stats(), one emit + dedup task
+#   over all band rows): 230 MiB at 20k pages (10.2 MB of band rows);
+#   668 MiB at 100k pages (53.2 MB), i.e. 12.6x once the Python worker's
+#   fixed ~100-150 MiB stops dominating;
+# - per byte of pairs emitted before dedup, on the worst pair shape
+#   (pair_cap-doc clusters recurring as one bucket in all 32 bands, max RSS
+#   of emit_pairs_block + dedup_pairs_block): 3.5-3.7x at 131k-524k rows;
+# - per byte of signatures (num_perm x 8 + sketch_cap x 8 per doc), its
+#   input blocks mapped from the object store: peak RSS above a bare worker
+#   (118 MiB) was 165 / 241 / 384 MiB at 3k / 10k / 20k F1 pages (15 / 51 /
+#   102 MB of signature bytes, 2 logical CPUs), i.e. 2.1-2.8x per added
+#   signature byte, band rows and pairs included.
+_TASK_HEAP_PER_BAND_BYTE = 16
+_TASK_HEAP_PER_PAIR_BYTE = 4
+_TASK_HEAP_PER_SIG_BYTE = 3
+# The task's returns (pairs, edges, clusters) land in the object store next
+# to the signature blocks it reads.  The band bytes stand in for them: the
+# deduped pairs were 4.5k against 96k band rows at 3k F1 pages, and the
+# clusters table holds ~25 bytes per doc against 512 band bytes.  The
+# quarter was set for an earlier one-block pair plan and has not been
+# re-measured for the task.
+_TASK_STORE_SHARE = 0.25
+
+
 def _task_plan_sizes(n_docs: int, salted_rows: int, cfg: DedupConfig) -> dict:
-    """The back half's plan choice and the sizes that made it.  The one-task
-    plan runs only where every back-half gate would pick its single-process
-    plan anyway: ``fits_local_plan`` for the band rows, salted rows and the
-    signature bytes the task holds; the doc count within the broadcast
-    verify gate; the worst-case pair count (so also the edge count) within
-    ``cfg.small_cc_limit``, the driver union-find gate."""
-    from dynaalign_ray.stages import bands, verify
+    """The back half's plan choice and the sizes that made it; the one place
+    it is made.  The one-task plan runs when
+    - the band rows, salted rows counted twice (each is emitted into two
+      sub-buckets), are at most ``_TASK_MAX_BAND_ROWS``;
+    - the task's worst-case heap fits one CPU's share of Ray's ``memory``
+      resource: band bytes, the pairs they emit before dedup if every
+      bucket held ``pair_cap`` docs and recurred in every band, and the
+      signature bytes, each times its measured factor;
+    - the band bytes fit ``_TASK_STORE_SHARE`` of the object store;
+    - the doc count is within the broadcast verify gate and the worst-case
+      pair count (so also the edge count) within ``cfg.small_cc_limit``,
+      the driver union-find gate: every staged stage would pick its
+      single-process plan anyway."""
+    import ray
+
+    from dynaalign_ray.stages import verify
 
     band_rows = n_docs * cfg.num_bands
     rows = band_rows + salted_rows
+    band_bytes = rows * _BAND_ROW_BYTES
+    # a bucket of m <= pair_cap docs emits (m-1)/2 pairs per row, a bigger
+    # one (star edges) fewer than one
+    worst_pairs = rows * max(cfg.pair_cap - 1, 2) / 2
     sig_bytes = n_docs * (cfg.num_perm + cfg.sketch_cap) * 8
-    worst_pairs = bands.worst_case_pairs(rows, cfg.pair_cap)
+    heap = (
+        band_bytes * _TASK_HEAP_PER_BAND_BYTE
+        + worst_pairs * _PAIR_BYTES * _TASK_HEAP_PER_PAIR_BYTE
+        + sig_bytes * _TASK_HEAP_PER_SIG_BYTE
+    )
+    res = ray.cluster_resources()
+    heap_per_cpu = res.get("memory", 0.0) / max(res.get("CPU", 1.0), 1.0)
     fits = (
-        bands.fits_local_plan(
-            band_rows, salted_rows, pair_cap=cfg.pair_cap, sig_bytes=sig_bytes
-        )
+        rows <= _TASK_MAX_BAND_ROWS
+        and heap <= heap_per_cpu
+        and band_bytes <= res.get("object_store_memory", 0.0) * _TASK_STORE_SHARE
         and n_docs <= verify.broadcast_doc_limit(cfg)
         and worst_pairs <= cfg.small_cc_limit
     )
-    budget = bands.local_plan_budget(rows, pair_cap=cfg.pair_cap, sig_bytes=sig_bytes)
     return {
         "plan": "task" if fits else "staged",
         "docs": n_docs,
         "band_rows": band_rows,
         "salted_rows": salted_rows,
         "worst_case_pairs": int(worst_pairs),
-        "heap_bytes": int(budget["heap_bytes"]),
-        "heap_per_cpu_bytes": int(budget["heap_per_cpu_bytes"]),
+        "heap_bytes": int(heap),
+        "heap_per_cpu_bytes": int(heap_per_cpu),
     }
 
 
@@ -399,16 +469,14 @@ _BAND_SCHEMA = pa.schema([("band_key", pa.int64()), ("doc_id", pa.int64())])
 
 def back_half_tables(cfg: DedupConfig, hot_keys, *sig_blocks: pa.Table):
     """Signature blocks -> (pairs, edges, clusters) tables, in one process,
-    with the staged plan's kernels: ``explode_bands`` with the hot keys, the
-    local candidate-pair plan's emit + dedup, the broadcast verify plan's
-    CSR lookup, the driver union-find and the cluster decision."""
+    with the staged plan's kernels: ``explode_bands`` with the hot keys,
+    pair emit + dedup over every band row at once (so each bucket is whole
+    and every copy of a pair is at hand), the broadcast verify plan's CSR
+    lookup, the driver union-find and the cluster decision."""
     blocks = [t for t in sig_blocks if t.num_rows]  # empty ones may lack a schema
     band_parts = [explode_bands(t, cfg=cfg, hot_keys=hot_keys) for t in blocks]
-    pairs = _local_pairs_block(
-        pa.concat_tables(band_parts) if band_parts else _BAND_SCHEMA.empty_table(),
-        pair_cap=cfg.pair_cap,
-        dedup=True,
-    )
+    band_rows = pa.concat_tables(band_parts) if band_parts else _BAND_SCHEMA.empty_table()
+    pairs = dedup_pairs_block(emit_pairs_block(band_rows, pair_cap=cfg.pair_cap))
     edges = verify_pairs_csr(
         np.asarray(pairs.column("a")),
         np.asarray(pairs.column("b")),

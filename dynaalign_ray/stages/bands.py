@@ -2,20 +2,14 @@
 (src/minHash.cpp:160-178, R/minHash.R:166-182) with
 per-bucket candidate-pair emission over (band_key, doc_id) rows.
 
-Two physical plans, chosen by ``fits_local_plan`` from the band-row count
-(capped at the largest size where both plans were timed), the worst-case
-heap of one task against one CPU's share of Ray's memory, and the object
-store: below that gate every band row goes
-into ONE block (``repartition(1)``, Ray Data's task-based non-keyed
-repartition — no shuffle aggregator actors) and one task emits and
-deduplicates the pairs; above it (or with no row-count hint) a hash
-shuffle on band_key feeds the emitter and a second hash shuffle on (a, b)
-feeds the dedup.  Both plans emit whole buckets with the same kernels, so
-their pair sets are identical.  Below the same gate, with the signature
-bytes it holds added to its heap term, ``near_dedup`` skips this stage's
-Ray Data plan altogether and runs ``explode_bands`` and
-``_local_pairs_block`` inside its one back-half task
-(``pipelines/neardup.py``), with hot keys from ``hot_band_keys``.
+The kernels run on blocks that hold whole buckets.  ``candidate_pairs``
+is the Ray Data plan: a hash shuffle on band_key feeds
+``emit_pairs_block`` and a second hash shuffle on (a, b) feeds
+``dedup_pairs_block``.  Below the back-half gate (``_task_plan_sizes`` in
+``pipelines/neardup.py``) ``near_dedup`` does not run that plan: its one
+back-half task calls ``explode_bands``, ``emit_pairs_block`` and
+``dedup_pairs_block`` on every band row at once, with hot keys from
+``hot_band_keys``, and so emits the same pair set.
 
 Skew handling (SURVEY.md §4): buckets produced by boilerplate-heavy pages
 are the known hot keys.  Two-phase salted emission: phase 1 counts bucket
@@ -231,8 +225,9 @@ def segment_triu_rows(
 
 def emit_pairs_block(batch: pa.Table, *, pair_cap: int) -> pa.Table:
     """Per-block candidate-pair emission over blocks that hold whole
-    buckets: the local plan's single block, or a hash partition after
-    ``repartition(keys=["band_key"])`` (whole block per call).
+    buckets: every band row of the corpus (``near_dedup``'s back-half
+    task), or a hash partition after ``repartition(keys=["band_key"])``
+    (whole block per call).
 
     Within a bucket of m distinct docs: all C(m,2) pairs while m <= pair_cap
     (exactly what the reference's dense matrix encodes, but only inside the
@@ -311,8 +306,8 @@ def emit_pairs_block(batch: pa.Table, *, pair_cap: int) -> pa.Table:
 
 def dedup_pairs_block(batch: pa.Table) -> pa.Table:
     """Global pair dedup over blocks that hold every copy of their pairs:
-    the local plan's single block, or a hash partition after
-    ``repartition(keys=["a","b"])``."""
+    every pair of the corpus (``near_dedup``'s back-half task), or a hash
+    partition after ``repartition(keys=["a","b"])``."""
     a = np.asarray(batch.column("a")).astype(np.int64)
     b = np.asarray(batch.column("b")).astype(np.int64)
     if len(a) == 0:
@@ -324,100 +319,6 @@ def dedup_pairs_block(batch: pa.Table) -> pa.Table:
     return pa.table(
         {"a": pa.array(a[first], type=pa.int64()), "b": pa.array(b[first], type=pa.int64())}
     )
-
-
-_BAND_ROW_BYTES = 16  # int64 band_key + int64 doc_id
-_PAIR_BYTES = 16  # int64 a + int64 b
-# Largest band-row count at which both plans were timed and the local plan
-# won: 20k pages x 32 bands (F1 corpus, seed 42, default DedupConfig, 2
-# logical CPUs on a 4-vCPU VM).  There a near_dedup call took
-# 9.7-12.8 s against 18.4-23.3 s on the two-shuffle plan, and the local map
-# itself took 0.34 s: spreading it over more CPUs can save at most that,
-# while the shuffle plan's engine overhead was seconds (4.5 s of a 4.6 s
-# band stage at 3k pages).  At 100k pages the local plan also won at 2 CPUs
-# (48.9 s against 80.6 s, same edges), but its single task grows with the
-# corpus and was not timed against a 32-CPU shuffle, so larger corpora keep
-# the shuffle plan.
-_LOCAL_PLAN_MAX_BAND_ROWS = 640_000
-# Peak heap of the local plan's one task, measured three ways:
-# - per band-row byte on F1 corpora (Dataset.stats(), same box): 230 MiB at
-#   20k pages (10.2 MB of band rows); 668 MiB at 100k pages (53.2 MB), i.e.
-#   12.6x once the Python worker's fixed ~100-150 MiB stops dominating;
-# - per byte of pairs emitted before dedup, on the worst pair shape
-#   (pair_cap-doc clusters recurring as one bucket in all 32 bands, max RSS
-#   of emit_pairs_block + dedup_pairs_block): 3.5-3.7x at 131k-524k rows.
-_LOCAL_HEAP_PER_BAND_BYTE = 16
-_LOCAL_HEAP_PER_PAIR_BYTE = 4
-# - per byte of signatures (num_perm x 8 + sketch_cap x 8 per doc) held by
-#   near_dedup's one-task back half (pipelines/neardup.py), its input blocks
-#   mapped from the object store: peak RSS above a bare worker (118 MiB)
-#   was 165 / 241 / 384 MiB at 3k / 10k / 20k F1 pages (15 / 51 / 102 MB
-#   of signature bytes, 2 logical CPUs), i.e. 2.1-2.8x per added signature
-#   byte, band rows and pairs included.
-_LOCAL_HEAP_PER_SIG_BYTE = 3
-# repartition(1) holds the input blocks and their one concatenated copy in
-# the object store at once; keep both within half of it.
-_LOCAL_STORE_SHARE = 0.25
-
-
-def worst_case_pairs(rows: int, pair_cap: int) -> float:
-    """Pairs ``rows`` band rows emit before dedup if every bucket held
-    ``pair_cap`` docs and recurred in every band: a bucket of m <= pair_cap
-    docs emits (m-1)/2 pairs per row, a bigger one (star edges) fewer than
-    one."""
-    return rows * max(pair_cap - 1, 2) / 2
-
-
-def local_plan_budget(rows: int, *, pair_cap: int, sig_bytes: int = 0) -> dict:
-    """Worst-case heap of one task holding ``rows`` band rows (salted rows
-    counted twice) and ``sig_bytes`` of signatures, next to one CPU's share
-    of Ray's ``memory`` resource; band bytes next to the object store."""
-    import ray
-
-    res = ray.cluster_resources()
-    band_bytes = rows * _BAND_ROW_BYTES
-    heap = (
-        band_bytes * _LOCAL_HEAP_PER_BAND_BYTE
-        + worst_case_pairs(rows, pair_cap) * _PAIR_BYTES * _LOCAL_HEAP_PER_PAIR_BYTE
-        + sig_bytes * _LOCAL_HEAP_PER_SIG_BYTE
-    )
-    return {
-        "heap_bytes": heap,
-        "heap_per_cpu_bytes": res.get("memory", 0.0) / max(res.get("CPU", 1.0), 1.0),
-        "band_bytes": band_bytes,
-        "store_bytes": res.get("object_store_memory", 0.0),
-    }
-
-
-def fits_local_plan(
-    band_rows: int, salted_rows: int = 0, *, pair_cap: int, sig_bytes: int = 0
-) -> bool:
-    """The gate between candidate_pairs' two plans, and the band half of the
-    gate for near_dedup's one-task back half (which also holds ``sig_bytes``
-    of signatures).  Salted rows count twice (each is emitted into two
-    sub-buckets).  The local plan runs when
-    - the rows are at most ``_LOCAL_PLAN_MAX_BAND_ROWS`` (where it was
-      timed against the shuffle plan);
-    - the task's worst-case heap (``local_plan_budget``) fits one CPU's
-      share of Ray's ``memory`` resource: band bytes, the pairs of
-      ``worst_case_pairs`` and the signature bytes, each times its measured
-      factor;
-    - the band bytes fit ``_LOCAL_STORE_SHARE`` of the object store."""
-    rows = band_rows + salted_rows
-    if rows > _LOCAL_PLAN_MAX_BAND_ROWS:
-        return False
-    b = local_plan_budget(rows, pair_cap=pair_cap, sig_bytes=sig_bytes)
-    return (
-        b["heap_bytes"] <= b["heap_per_cpu_bytes"]
-        and b["band_bytes"] <= b["store_bytes"] * _LOCAL_STORE_SHARE
-    )
-
-
-def _local_pairs_block(batch: pa.Table, *, pair_cap: int, dedup: bool) -> pa.Table:
-    """The local plan's one task: every band row of the corpus in one
-    block, so each bucket is whole and every copy of a pair is at hand."""
-    pairs = emit_pairs_block(batch, pair_cap=pair_cap)
-    return dedup_pairs_block(pairs) if dedup else pairs
 
 
 def hot_band_keys(
@@ -446,15 +347,12 @@ def candidate_pairs(
 ):
     """signatures -> candidate_pairs(a, b).
 
-    Band rows are built the same way on both plans: ``explode_bands``, the
-    hot-key pass when salting (``hot_band_keys``, unless the caller already
-    ran it and passes its result as ``hot_keys``), then a salted re-explode.
-    When ``approx_band_rows`` is given and ``fits_local_plan`` holds, the
-    band rows go through ``repartition(1)`` into one block and one task
-    emits the pairs and (with ``dedup=True``) drops cross-band duplicates —
-    no hash shuffle.  Otherwise one hash shuffle on band_key feeds
-    ``emit_pairs_block`` and, with ``dedup=True``, a second shuffle on
-    (a, b) feeds ``dedup_pairs_block``.
+    Band rows come from ``explode_bands``, the hot-key pass when salting
+    (``hot_band_keys``, whose driver-merge plan ``approx_band_rows`` picks,
+    unless the caller already ran it and passes its result as
+    ``hot_keys``), then a salted re-explode.  One hash shuffle on band_key
+    feeds ``emit_pairs_block`` and, with ``dedup=True``, a second shuffle
+    on (a, b) feeds ``dedup_pairs_block``.
 
     The flagship pipeline passes ``dedup=True``: deduplicating the narrow
     pair rows before the verify joins is far cheaper than dragging per-doc
@@ -473,16 +371,6 @@ def candidate_pairs(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    salted_rows = 0 if hot_keys is None else int(hot_keys[1].sum())
-    if approx_band_rows is not None and fits_local_plan(
-        approx_band_rows, salted_rows, pair_cap=cfg.pair_cap
-    ):
-        return bands.repartition(1).map_batches(
-            functools.partial(_local_pairs_block, pair_cap=cfg.pair_cap, dedup=dedup),
-            batch_size=None,
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
     pairs = bands.repartition(num_blocks=num_partitions, keys=["band_key"]).map_batches(
         functools.partial(emit_pairs_block, pair_cap=cfg.pair_cap),
         batch_size=None,

@@ -1,7 +1,8 @@
 """near_dedup's back half below the memory gate: pairs -> edges -> clusters
 as one Ray task must give byte-identical pairs, edges and clusters to the
-staged plan, handle corpora with no candidate pairs, and interact with the
-per-stage checkpoints exactly as the staged plan does."""
+staged plan, with or without ``edge_filter``, ``tau_quantile`` or
+``cluster_backend``, handle corpora with no candidate pairs, and interact
+with the per-stage checkpoints exactly as the staged plan does."""
 
 import shutil
 
@@ -42,27 +43,62 @@ def _pages_ds(n: int, boiler_frac: float):
     return rd.from_arrow(pages)
 
 
-@pytest.mark.parametrize("boiler_frac", [0.05, 0.25])
-def test_task_and_staged_plans_give_identical_outputs(ray_session, monkeypatch, boiler_frac):
+def _force_staged(monkeypatch):
+    """Shut the back-half gate, keeping the sizes it records.  (Not with a
+    missing row hint, which would also switch the hot-key pass to its
+    distributed plan and so salt a different key set.)"""
+    from dynaalign_ray.pipelines import neardup
+
+    gate = neardup._task_plan_sizes
+    monkeypatch.setattr(neardup, "_task_plan_sizes", lambda *a: {**gate(*a), "plan": "staged"})
+
+
+def _small_cc_backend(edges_ds, num_partitions):
+    import ray.data as rd
+
+    from dynaalign_ray.stages.cluster import connected_components_small
+
+    return rd.from_arrow(connected_components_small(edges_ds))
+
+
+_OPTIONS = {
+    "": {},
+    "edge_filter": {"edge_filter": lambda e: e, "edge_filter_tag": "identity"},
+    "tau_quantile": {"tau_quantile": 0.95},
+    "cluster_backend": {"cluster_backend": _small_cc_backend},
+}
+
+
+@pytest.mark.parametrize(
+    "boiler_frac,option",
+    [pytest.param(f, o, id=f"{f}-{o}" if o else str(f)) for o in _OPTIONS for f in (0.05, 0.25)],
+)
+def test_task_and_staged_plans_give_identical_outputs(
+    ray_session, monkeypatch, boiler_frac, option
+):
     from dynaalign_ray.config import DedupConfig
     from dynaalign_ray.pipelines.neardup import near_dedup
-    from dynaalign_ray.stages import bands
 
-    cfg = DedupConfig(salt_cap=256)
-    task = near_dedup(pages_ds=_pages_ds(1500, boiler_frac), cfg=cfg, num_partitions=4)
+    kwargs = dict(_OPTIONS[option])
+    cfg = DedupConfig(salt_cap=256, tau_quantile=kwargs.pop("tau_quantile", None))
+
+    def run():
+        return near_dedup(
+            pages_ds=_pages_ds(1500, boiler_frac), cfg=cfg, num_partitions=4, **kwargs
+        )
+
+    task = run()
     plan = task.stats["back_half"]
     assert plan["plan"] == "task"
     assert plan["heap_bytes"] <= plan["heap_per_cpu_bytes"]
     if boiler_frac == 0.25:
         # the skewed corpus must take the salted explode
         assert plan["hot_keys"] > 0 and plan["salted_rows"] > 0
-    assert task.stats["cc"]["mode"] == "driver_union_find"
+    mode = "custom" if option == "cluster_backend" else "driver_union_find"
+    assert task.stats["cc"]["mode"] == mode
 
-    # force the staged plan through the gate (not with a missing row hint,
-    # which would also switch the hot-key pass to its distributed plan and
-    # so salt a different key set)
-    monkeypatch.setattr(bands, "fits_local_plan", lambda *a, **k: False)
-    staged = near_dedup(pages_ds=_pages_ds(1500, boiler_frac), cfg=cfg, num_partitions=4)
+    _force_staged(monkeypatch)
+    staged = run()
     assert staged.stats["back_half"]["plan"] == "staged"
     assert staged.stats["cc"]["n_edges"] == task.stats["cc"]["n_edges"] > 0
 
@@ -132,13 +168,54 @@ def test_resume_with_the_task_plan(ray_session, monkeypatch, tmp_path):
     assert _outputs(part) == want
 
 
+def test_resume_with_an_edge_filter(ray_session, monkeypatch, tmp_path):
+    """With an option the task builds pairs and edges only: a full resume
+    runs no task, and a changed ``edge_filter_tag`` rebuilds the clusters
+    from the checkpointed edges."""
+    from dynaalign_ray.config import DedupConfig
+    from dynaalign_ray.pipelines import neardup
+    from dynaalign_ray.stages import bands
+
+    ckpt = str(tmp_path / "ckpt")
+
+    def run(tag):
+        return neardup.near_dedup(
+            pages_ds=_pages_ds(800, 0.25), cfg=DedupConfig(salt_cap=256),
+            checkpoint_dir=ckpt, num_partitions=4,
+            edge_filter=lambda e: e, edge_filter_tag=tag,
+        )
+
+    first = run("identity")
+    assert first.stats["back_half"]["plan"] == "task"
+    want = _outputs(first)
+
+    def refuse(*a, **k):
+        raise AssertionError("a resume with an edge filter must not run the back half")
+
+    monkeypatch.setattr(neardup, "_launch_back_half", refuse)
+    monkeypatch.setattr(bands, "hot_band_keys", refuse)
+    full = run("identity")
+    assert full.stats["back_half"]["plan"] == "resumed"
+    assert all(s["resumed"] for s in full.stats["stages"].values())
+    assert _outputs(full) == want
+
+    retagged = run("identity-v2")
+    assert retagged.stats["back_half"]["plan"] == "resumed"
+    resumed = {s: c.get("resumed", False) for s, c in retagged.stats["stages"].items()}
+    assert resumed == {
+        "docs": True, "signatures": True, "pairs": True, "edges": True, "clusters": False,
+    }
+    assert retagged.stats["cc"]["mode"] == "driver_union_find"
+    assert _outputs(retagged) == want
+
+
 def test_staged_resume_does_not_solve_cc(ray_session, monkeypatch, tmp_path):
     """A resumed clusters stage reports its edge count and runs no CC."""
     from dynaalign_ray.config import DedupConfig
     from dynaalign_ray.pipelines import neardup
-    from dynaalign_ray.stages import bands, cluster
+    from dynaalign_ray.stages import cluster
 
-    monkeypatch.setattr(bands, "fits_local_plan", lambda *a, **k: False)
+    _force_staged(monkeypatch)
     ckpt = str(tmp_path / "ckpt")
 
     def run():
@@ -167,12 +244,11 @@ def test_gate_counts_signatures_not_the_row_hint(ray_session, monkeypatch):
     """A low ``approx_rows`` hint must not let the one-task plan past the
     gate: the back half is sized from the real signature count."""
     from dynaalign_ray.config import DedupConfig
-    from dynaalign_ray.pipelines.neardup import near_dedup
-    from dynaalign_ray.stages import bands
+    from dynaalign_ray.pipelines import neardup
 
     # 400 pages x 32 bands = 12,800 band rows: over this cap, under the hint's
-    monkeypatch.setattr(bands, "_LOCAL_PLAN_MAX_BAND_ROWS", 1_000)
-    res = near_dedup(
+    monkeypatch.setattr(neardup, "_TASK_MAX_BAND_ROWS", 1_000)
+    res = neardup.near_dedup(
         pages_ds=_pages_ds(400, 0.05), cfg=DedupConfig(), num_partitions=2, approx_rows=1
     )
     plan = res.stats["back_half"]

@@ -1,8 +1,6 @@
-"""candidate_pairs' two physical plans: the local plan (every band row in
-one ``repartition(1)`` block, one emit+dedup task) and the two-hash-shuffle
-plan must return byte-identical pair sets, salted or not; the gate between
-them holds the measured row cap, the per-CPU heap and the object store; and
-the whole pipeline runs on a 1-CPU Ray node on either back-half plan."""
+"""The back-half gate (``neardup._task_plan_sizes``) holds the measured row
+cap, the per-CPU heap and the object store; and the whole pipeline runs on
+a 1-CPU Ray node on either back-half plan."""
 
 import json
 import os
@@ -11,60 +9,7 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
-import pyarrow as pa
 import pytest
-
-
-def _sorted_pairs(ds) -> np.ndarray:
-    import ray
-
-    t = pa.concat_tables([ray.get(r) for r in ds.to_arrow_refs()])
-    a = t.column("a").to_numpy().astype(np.int64)
-    b = t.column("b").to_numpy().astype(np.int64)
-    order = np.lexsort((b, a))
-    return np.stack([a[order], b[order]])
-
-
-@pytest.mark.parametrize("boiler_frac", [0.05, 0.25])
-def test_local_and_shuffle_plans_emit_identical_pairs(ray_session, monkeypatch, boiler_frac):
-    import functools
-
-    import ray.data as rd
-
-    from dynaalign_ray.config import DedupConfig
-    from dynaalign_ray.extract import extract_text_batch
-    from dynaalign_ray.fixtures import generate_pages
-    from dynaalign_ray.stages import bands
-    from dynaalign_ray.stages.minhash import signatures_dataset
-
-    cfg = DedupConfig(salt_cap=256)
-    pages, _ = generate_pages(1500, seed=42, boiler_frac=boiler_frac)
-    docs = rd.from_arrow(pages).map_batches(extract_text_batch, batch_format="pyarrow")
-    sigs = signatures_dataset(docs, cfg).repartition(4).materialize()
-    n_band_rows = sigs.count() * cfg.num_bands
-
-    plain = sigs.map_batches(
-        functools.partial(bands.explode_bands, cfg=cfg), batch_format="pyarrow"
-    )
-    hot_keys, hot_counts = bands.find_hot_band_keys(plain, cfg, 4, approx_rows=n_band_rows)
-    if boiler_frac == 0.25:
-        # the skewed corpus must take the salted explode on both plans
-        assert len(hot_keys) > 0
-    assert bands.fits_local_plan(n_band_rows, int(hot_counts.sum()), pair_cap=cfg.pair_cap)
-
-    local = _sorted_pairs(
-        bands.candidate_pairs(sigs, cfg, 4, approx_band_rows=n_band_rows)
-    )
-    # force the shuffle plan through the gate: a None row hint would also
-    # switch the hot-key pass to its distributed plan, whose salt_cap/2
-    # threshold salts a different key set and so emits different pairs
-    monkeypatch.setattr(bands, "fits_local_plan", lambda *a, **k: False)
-    shuffled = _sorted_pairs(
-        bands.candidate_pairs(sigs, cfg, 4, approx_band_rows=n_band_rows)
-    )
-    assert local.shape[1] > 0
-    assert local.tobytes() == shuffled.tobytes()
 
 
 def _with_resources(monkeypatch, **res):
@@ -73,40 +18,55 @@ def _with_resources(monkeypatch, **res):
     monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 2.0, **res})
 
 
+def _fits(n_docs: int, salted_rows: int = 0, **cfg) -> bool:
+    from dynaalign_ray.config import DedupConfig
+    from dynaalign_ray.pipelines import neardup
+
+    return neardup._task_plan_sizes(n_docs, salted_rows, DedupConfig(**cfg))["plan"] == "task"
+
+
 def test_gate_caps_rows_at_the_measured_size(monkeypatch):
-    from dynaalign_ray.stages import bands
+    from dynaalign_ray.config import DedupConfig
+    from dynaalign_ray.pipelines import neardup
 
     _with_resources(monkeypatch, memory=1e12, object_store_memory=1e12)
-    cap = bands._LOCAL_PLAN_MAX_BAND_ROWS
-    assert bands.fits_local_plan(cap, pair_cap=64)
-    assert not bands.fits_local_plan(cap + 1, pair_cap=64)
+    docs = neardup._TASK_MAX_BAND_ROWS // DedupConfig().num_bands
+    assert _fits(docs)
+    assert not _fits(docs + 1)
     # salted rows are emitted twice, so they count against the same cap
-    assert not bands.fits_local_plan(cap - 10, salted_rows=11, pair_cap=64)
+    assert _fits(docs - 1, salted_rows=DedupConfig().num_bands)
+    assert not _fits(docs - 1, salted_rows=DedupConfig().num_bands + 1)
 
 
 def test_gate_bounds_worst_case_pair_heap_per_cpu(monkeypatch):
-    from dynaalign_ray.stages import bands
+    from dynaalign_ray.config import DedupConfig
+    from dynaalign_ray.pipelines import neardup as nd
 
-    # per band row: its own bytes plus (pair_cap-1)/2 pairs emitted before
-    # dedup, each times its measured heap factor
-    per_row = (
-        bands._BAND_ROW_BYTES * bands._LOCAL_HEAP_PER_BAND_BYTE
-        + 63 / 2 * bands._PAIR_BYTES * bands._LOCAL_HEAP_PER_PAIR_BYTE
-    )
-    _with_resources(monkeypatch, memory=2 * 1000 * per_row, object_store_memory=1e12)
-    assert bands.fits_local_plan(1000, pair_cap=64)
-    assert not bands.fits_local_plan(1001, pair_cap=64)
+    # per doc: num_bands band rows, each with its own bytes plus
+    # (pair_cap-1)/2 pairs emitted before dedup, and the signature bytes,
+    # each times its measured heap factor
+    cfg = DedupConfig()
+    per_doc = cfg.num_bands * (
+        nd._BAND_ROW_BYTES * nd._TASK_HEAP_PER_BAND_BYTE
+        + 63 / 2 * nd._PAIR_BYTES * nd._TASK_HEAP_PER_PAIR_BYTE
+    ) + (cfg.num_perm + cfg.sketch_cap) * 8 * nd._TASK_HEAP_PER_SIG_BYTE
+    _with_resources(monkeypatch, memory=2 * 1000 * per_doc, object_store_memory=1e12)
+    assert _fits(1000, pair_cap=64)
+    assert not _fits(1001, pair_cap=64)
     # fewer pairs per bucket leave room for more rows
-    assert bands.fits_local_plan(1001, pair_cap=32)
+    assert _fits(1001, pair_cap=32)
 
 
 def test_gate_bounds_band_bytes_by_object_store(monkeypatch):
-    from dynaalign_ray.stages import bands
+    from dynaalign_ray.config import DedupConfig
+    from dynaalign_ray.pipelines import neardup
 
-    store = 1000 * bands._BAND_ROW_BYTES / bands._LOCAL_STORE_SHARE
-    _with_resources(monkeypatch, memory=1e12, object_store_memory=store)
-    assert bands.fits_local_plan(1000, pair_cap=64)
-    assert not bands.fits_local_plan(1001, pair_cap=64)
+    band_bytes = 1000 * DedupConfig().num_bands * neardup._BAND_ROW_BYTES
+    _with_resources(
+        monkeypatch, memory=1e12, object_store_memory=band_bytes / neardup._TASK_STORE_SHARE
+    )
+    assert _fits(1000)
+    assert not _fits(1001)
 
 
 _ONE_CPU_RUN = textwrap.dedent(
@@ -119,17 +79,16 @@ _ONE_CPU_RUN = textwrap.dedent(
     configure_context()
     from dynaalign_ray.config import DedupConfig
     from dynaalign_ray.fixtures import generate_pages
-    from dynaalign_ray.pipelines.neardup import near_dedup
-    from dynaalign_ray.stages import bands
+    from dynaalign_ray.pipelines import neardup
     n_pages, staged = int(sys.argv[2]), sys.argv[3] == "staged"
     cfg = DedupConfig()
     if staged:
         # the gate shut: hash shuffles in candidate_pairs, and the
         # contraction CC's keyed repartition
-        bands.fits_local_plan = lambda *a, **k: False
+        neardup._task_plan_sizes = lambda *a: {"plan": "staged"}
         cfg = DedupConfig(small_cc_limit=0)
     pages, _ = generate_pages(n_pages, seed=42)
-    res = near_dedup(pages_ds=rd.from_arrow(pages), cfg=cfg, num_partitions=4)
+    res = neardup.near_dedup(pages_ds=rd.from_arrow(pages), cfg=cfg, num_partitions=4)
     rows = res.clusters.take_all()
     plan = [res.stats["back_half"]["plan"], res.stats["cc"]["mode"]]
     ray.shutdown()

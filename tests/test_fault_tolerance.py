@@ -11,12 +11,14 @@ import os
 import pyarrow as pa
 
 
-def _killer_for(flag_path: str):
-    """Identity batch fn whose FIRST claimant (cross-process O_EXCL on the
-    flag file) SIGKILLs its own worker process mid-task.  The flag is
-    created BEFORE the kill, so the retried task sees it and passes."""
+def _first_claimant_killer(flag_path: str):
+    """A no-argument fn that SIGKILLs its own worker process if it is the
+    FIRST claimant (cross-process O_EXCL on the flag file).  The flag is
+    created BEFORE the kill, so the retried task sees it and passes.  It is
+    a closure, so Ray ships it by value to workers that cannot import this
+    test module."""
 
-    def killer(batch: pa.Table) -> pa.Table:
+    def kill() -> None:
         import signal
 
         try:
@@ -25,6 +27,16 @@ def _killer_for(flag_path: str):
             os.kill(os.getpid(), signal.SIGKILL)
         except FileExistsError:
             pass
+
+    return kill
+
+
+def _killer_for(flag_path: str):
+    """Identity batch fn whose first claimant dies mid-task."""
+    kill = _first_claimant_killer(flag_path)
+
+    def killer(batch: pa.Table) -> pa.Table:
+        kill()
         return batch
 
     return killer
@@ -57,5 +69,40 @@ class TestWorkerDeath:
                 pages_ds=wounded, cfg=cfg, num_partitions=4
             ).clusters.take_all()
         }
+        assert os.path.exists(flag), "kill was never injected"
+        assert got == clean
+
+    def test_back_half_task_survives_worker_sigkill(self, ray_session, tmp_path, monkeypatch):
+        """The one back-half task, killed once, is retried by Ray and gives
+        the healthy run's clusters."""
+        import ray
+        import ray.data as rd
+
+        from dynaalign_ray.config import DedupConfig
+        from dynaalign_ray.fixtures import generate_pages
+        from dynaalign_ray.pipelines import neardup
+
+        pages, _ = generate_pages(800, seed=3)
+
+        def clusters():
+            res = neardup.near_dedup(
+                pages_ds=rd.from_arrow(pages), cfg=DedupConfig(), num_partitions=4
+            )
+            assert res.stats["back_half"]["plan"] == "task"
+            return {r["doc_id"]: r["cluster_id"] for r in res.clusters.take_all()}
+
+        clean = clusters()
+
+        flag = str(tmp_path / "task_killed.flag")
+        kill = _first_claimant_killer(flag)
+
+        def killed_once(*args):
+            kill()
+            return neardup.back_half_tables(*args)
+
+        monkeypatch.setattr(
+            neardup, "_BACK_HALF_TASK", ray.remote(num_returns=3)(killed_once)
+        )
+        got = clusters()
         assert os.path.exists(flag), "kill was never injected"
         assert got == clean
