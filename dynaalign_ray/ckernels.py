@@ -1,7 +1,7 @@
 """Optional C-speed kernels, compiled at first use with the system cc.
 
-Two families of per-row loops live here, each behind the Python function
-whose numpy body stays the specification and the fallback:
+Three families of per-row loops live here, each behind the Python function
+whose body stays the specification and the fallback:
 
 - the signature stage (``shingles``): word-mode token hashes straight off
   Arrow's ``(offsets, data)`` buffers (``hash_spans``), token hash + k-window
@@ -11,17 +11,23 @@ whose numpy body stays the specification and the fallback:
   temporaries per batch (prefix sums, sliding windows, a whole-batch
   lexsort); these loops keep a doc's working set in cache;
 - sorted-set Jaccard merges for verify and the exact all-pairs queries,
-  where ``np.intersect1d`` costs ~15 µs of Python dispatch per pair.
+  where ``np.intersect1d`` costs ~15 µs of Python dispatch per pair;
+- HTML -> text extraction (``extract_pages``): one scan per page over the
+  html column's ``(offsets, data)`` buffers, writing the ``text`` column's
+  buffers and ``n_chars`` with no Python str per page.  Its spec is the
+  regex form ``extract.extract_text``, which also runs, page by page, on
+  the pages the C loops report as not mirrored (see ``extract``).
 
 The source compiles once per machine into a content-addressed ``.so`` in
 the temp dir (one synchronous ``cc`` call; atomic rename, so concurrent
-workers race safely) and loads via ctypes.  The C paths are byte-identical to the
-numpy ones (tests/test_ckernels.py, tests/test_signature_kernels.py).
-Without a compiler, or if the build fails, callers run the numpy path; a
-failed build warns once per process with the tail of cc's stderr, since the
-fallback is several times slower on the signature stage.
+workers race safely) and loads via ctypes.  The C paths are byte-identical to
+their specs (tests/test_ckernels.py, tests/test_signature_kernels.py,
+tests/test_extract_kernels.py).  Without a compiler, or if the build
+fails, callers run the Python path; a failed build warns once per process
+with the tail of cc's stderr, since the fallback is several times slower
+on the signature and extract stages.
 
-Set ``DYNAALIGN_NO_CKERNEL=1`` to force the numpy fallback.
+Set ``DYNAALIGN_NO_CKERNEL=1`` to force the Python fallback.
 """
 
 from __future__ import annotations
@@ -327,6 +333,296 @@ void jaccard_cross_block(const uint64_t *va, const int64_t *sa,
         }
     }
 }
+
+/* ---- HTML -> text; mirrors dynaalign_ray.extract.extract_text ----
+   The spec runs five regex passes over a decoded str; these loops run the
+   same passes over a page's UTF-8 bytes.  They mirror it for ASCII markup
+   only: a page whose result could depend on how Python classifies a
+   non-ASCII code point is reported back (return -1) and the caller runs
+   the spec on it.  Such pages hold invalid UTF-8, a code point str.split /
+   \s count as whitespace, a letter re.I folds onto ASCII (U+0130 U+0131
+   U+017F U+212A), a non-ASCII byte right after a candidate tag name (\b
+   then depends on Unicode \w), or an '&' other than the five html.escape
+   forms.  Every other non-ASCII byte is plain text and is copied through.
+   Each pass is a leftmost scan that skips an opener without a closer and
+   resumes at the next '<', as re.sub / re.search / re.findall do; a failed
+   closer search is never repeated, so unclosed openers stay linear. */
+
+/* str.isspace() on one ASCII byte: \t \n \v \f \r, \x1c-\x1f, space */
+static inline int ws_byte(uint8_t c) {
+    return (c >= 9 && c <= 13) || (c >= 28 && c <= 32);
+}
+
+static inline int word_byte(uint8_t c) {  /* ASCII \w */
+    return (c >= '0' && c <= '9') || c == '_' ||
+           ((c | 0x20) >= 'a' && (c | 0x20) <= 'z');
+}
+
+/* 1 when data[0:n] decodes as strict UTF-8 (what bytes.decode accepts)
+   and holds none of the code points the byte scan cannot mirror. */
+static int page_ok(const uint8_t *s, int64_t n) {
+    int64_t i = 0;
+    while (i < n) {
+        if (i + 8 <= n) {
+            uint64_t w;
+            memcpy(&w, s + i, 8);
+            if (!(w & 0x8080808080808080ULL)) { i += 8; continue; }
+        }
+        uint8_t c = s[i];
+        if (c < 0x80) { i++; continue; }
+        int len;
+        uint32_t cp;
+        if (c >= 0xC2 && c <= 0xDF) { len = 2; cp = c & 0x1F; }
+        else if (c >= 0xE0 && c <= 0xEF) { len = 3; cp = c & 0x0F; }
+        else if (c >= 0xF0 && c <= 0xF4) { len = 4; cp = c & 0x07; }
+        else return 0;
+        if (n - i < len) return 0;
+        for (int j = 1; j < len; j++) {
+            if ((s[i + j] & 0xC0) != 0x80) return 0;
+            cp = (cp << 6) | (s[i + j] & 0x3F);
+        }
+        if ((len == 3 && cp < 0x800) || (len == 4 && cp < 0x10000) ||
+            cp > 0x10FFFF || (cp >= 0xD800 && cp <= 0xDFFF))
+            return 0;  /* overlong, out of range or a surrogate */
+        if (cp == 0x85 || cp == 0xA0 || cp == 0x1680 ||
+            (cp >= 0x2000 && cp <= 0x200A) || cp == 0x2028 || cp == 0x2029 ||
+            cp == 0x202F || cp == 0x205F || cp == 0x3000)
+            return 0;  /* Unicode whitespace */
+        if (cp == 0x130 || cp == 0x131 || cp == 0x17F || cp == 0x212A)
+            return 0;  /* re.I matches these against i, s and k */
+        i += len;
+    }
+    return 1;
+}
+
+/* s starts with the lowercase ASCII letters lit, in any case (re.I) */
+static inline int iprefix(const uint8_t *s, const uint8_t *e, const char *lit) {
+    for (; *lit; lit++, s++)
+        if (s >= e || (*s | 0x20) != (uint8_t)*lit) return 0;
+    return 1;
+}
+
+/* \b right after a tag name ending at p: 1 at a boundary, 0 when an ASCII
+   word byte follows, -1 when a non-ASCII byte follows (spec decides). */
+static inline int name_end(const uint8_t *p, const uint8_t *e) {
+    if (p == e) return 1;
+    if (*p >= 0x80) return -1;
+    return !word_byte(*p);
+}
+
+/* The first '>' at or after p, for [^>]*>; calls come with p never
+   decreasing, so the scan behind all of them is one pass. */
+typedef struct { const uint8_t *from, *at; } gt_memo;
+
+static inline const uint8_t *next_gt(gt_memo *m, const uint8_t *p,
+                                     const uint8_t *e) {
+    if (!m->from || (m->at && p > m->at)) {
+        m->from = p;
+        m->at = p < e ? memchr(p, '>', (size_t)(e - p)) : NULL;
+    }
+    return m->at;
+}
+
+/* The first closer "</" lit \s* ">" at or after p; its length in *len. */
+static const uint8_t *find_closer(const uint8_t *p, const uint8_t *e,
+                                  const char *lit, int64_t *len) {
+    size_t nl = strlen(lit);
+    while (p < e && (p = memchr(p, '<', (size_t)(e - p)))) {
+        if (e - p > 2 && p[1] == '/' && iprefix(p + 2, e, lit)) {
+            const uint8_t *q = p + 2 + nl;
+            while (q < e && ws_byte(*q)) q++;
+            if (q < e && *q == '>') { *len = q + 1 - p; return p; }
+        }
+        p++;
+    }
+    return NULL;
+}
+
+/* Pass 1: <(script|style)\b[^>]*>.*?</\1\s*> -> " " (re.I | re.S). */
+static int64_t strip_scripts(const uint8_t *s, int64_t n, uint8_t *out) {
+    static const char *names[2] = {"script", "style"};
+    const uint8_t *e = s + n, *p = s, *run = s, *lt;
+    const uint8_t *dead[2] = {NULL, NULL};  /* no closer at or after */
+    gt_memo gm = {NULL, NULL};
+    int64_t o = 0;
+    while (p < e && (lt = memchr(p, '<', (size_t)(e - p)))) {
+        p = lt + 1;
+        int t = iprefix(p, e, "script") ? 0 : iprefix(p, e, "style") ? 1 : -1;
+        if (t < 0) continue;
+        const uint8_t *j = p + strlen(names[t]);
+        int b = name_end(j, e);
+        if (b < 0) return -1;
+        if (!b) continue;
+        const uint8_t *k = next_gt(&gm, j, e);
+        if (!k) break;  /* no '>' left for this or any later opener */
+        if (dead[t] && k + 1 >= dead[t]) continue;
+        int64_t cl;
+        const uint8_t *c = find_closer(k + 1, e, names[t], &cl);
+        if (!c) { dead[t] = k + 1; continue; }
+        memcpy(out + o, run, (size_t)(lt - run));
+        o += lt - run;
+        out[o++] = ' ';
+        p = run = c + cl;
+    }
+    memcpy(out + o, run, (size_t)(e - run));
+    return o + (e - run);
+}
+
+/* Pass 2: <!--.*?--> -> " " (re.S). */
+static int64_t strip_comments(const uint8_t *s, int64_t n, uint8_t *out) {
+    const uint8_t *e = s + n, *p = s, *run = s, *lt;
+    int64_t o = 0;
+    while (p < e && (lt = memchr(p, '<', (size_t)(e - p)))) {
+        p = lt + 1;
+        if (e - lt < 4 || lt[1] != '!' || lt[2] != '-' || lt[3] != '-') continue;
+        const uint8_t *c = NULL;  /* first "-->" at or after lt + 4 */
+        for (const uint8_t *g = lt + 6; g < e; g++) {
+            if (!(g = memchr(g, '>', (size_t)(e - g)))) break;
+            if (g[-1] == '-' && g[-2] == '-') { c = g - 2; break; }
+        }
+        if (!c) break;  /* no later opener can close either */
+        memcpy(out + o, run, (size_t)(lt - run));
+        o += lt - run;
+        out[o++] = ' ';
+        p = run = c + 3;
+    }
+    memcpy(out + o, run, (size_t)(e - run));
+    return o + (e - run);
+}
+
+/* Pass 3: the inner text of the first <main\b[^>]*>(.*?)</main\s*> goes
+   to [*cs, *ce); both stay as they are when there is none. */
+static int find_main(const uint8_t *s, const uint8_t *e, const uint8_t **cs,
+                     const uint8_t **ce) {
+    const uint8_t *p = s, *lt;
+    gt_memo gm = {NULL, NULL};
+    while (p < e && (lt = memchr(p, '<', (size_t)(e - p)))) {
+        p = lt + 1;
+        if (!iprefix(p, e, "main")) continue;
+        int b = name_end(p + 4, e);
+        if (b < 0) return -1;
+        if (!b) continue;
+        const uint8_t *k = next_gt(&gm, p + 4, e);
+        int64_t cl;
+        const uint8_t *c = k ? find_closer(k + 1, e, "main", &cl) : NULL;
+        if (c) { *cs = k + 1; *ce = c; }
+        return 0;  /* matched, or no later opener can match */
+    }
+    return 0;
+}
+
+/* html.unescape of one of the five html.escape forms at s: the char goes
+   to *c and the bytes consumed are returned; 0 for any other '&'. */
+static int64_t entity(const uint8_t *s, const uint8_t *e, uint8_t *c) {
+    static const char *forms[5] = {"&amp;", "&lt;", "&gt;", "&quot;", "&#x27;"};
+    static const uint8_t chars[5] = {'&', '<', '>', '"', '\''};
+    for (int f = 0; f < 5; f++) {
+        int64_t len = (int64_t)strlen(forms[f]);
+        if (e - s >= len && !memcmp(s, forms[f], (size_t)len)) {
+            *c = chars[f];
+            return len;
+        }
+    }
+    return 0;
+}
+
+/* Byte classes for clean_fragment: ASCII whitespace, '<', '&', other. */
+enum { PLAIN, SPACE, LT, AMP };
+static const uint8_t FRAG_CLASS[256] = {
+    [9] = SPACE, [10] = SPACE, [11] = SPACE, [12] = SPACE, [13] = SPACE,
+    [28] = SPACE, [29] = SPACE, [30] = SPACE, [31] = SPACE, [32] = SPACE,
+    ['<'] = LT, ['&'] = AMP,
+};
+
+/* _clean_fragment: <[^>]+> -> " ", unescape, " ".join(split()), in one
+   pass (the five entities hold no '<', so stripping first changes none). */
+static int64_t clean_fragment(const uint8_t *s, const uint8_t *e, uint8_t *out) {
+    gt_memo gm = {NULL, NULL};
+    uint8_t *o = out;
+    int gap = 0;
+    while (s < e) {
+        uint8_t c = *s, cls = FRAG_CLASS[c];
+        if (cls == SPACE) { gap = 1; s++; continue; }
+        if (cls == LT && e - s > 1 && s[1] != '>') {
+            const uint8_t *k = next_gt(&gm, s + 1, e);
+            if (k) { gap = 1; s = k + 1; continue; }  /* a tag is a space */
+        }
+        if (gap && o > out) *o++ = ' ';
+        gap = 0;
+        if (cls == AMP) {
+            int64_t adv = entity(s, e, &c);
+            if (!adv) return -1;
+            *o++ = c;
+            s += adv;
+            continue;
+        }
+        /* a run of text up to the next whitespace, '<' or '&' */
+        do *o++ = *s++; while (s < e && FRAG_CLASS[*s] == PLAIN);
+    }
+    return o - out;
+}
+
+/* Passes 4-5: the cleaned <p\b[^>]*>(.*?)</p\s*> runs of s[0:e], joined
+   with '\n', or the whole content cleaned when it has none. */
+static int64_t paragraphs(const uint8_t *s, const uint8_t *e, uint8_t *out) {
+    const uint8_t *p = s, *lt;
+    gt_memo gm = {NULL, NULL};
+    int64_t o = 0, runs = 0;
+    while (p < e && (lt = memchr(p, '<', (size_t)(e - p)))) {
+        p = lt + 1;
+        if (p == e || (*p | 0x20) != 'p') continue;
+        int b = name_end(p + 1, e);
+        if (b < 0) return -1;
+        if (!b) continue;
+        const uint8_t *k = next_gt(&gm, p + 1, e);
+        int64_t cl;
+        const uint8_t *c = k ? find_closer(k + 1, e, "p", &cl) : NULL;
+        if (!c) break;  /* no later opener can match either */
+        if (runs++) out[o++] = '\n';
+        int64_t w = clean_fragment(k + 1, c, out + o);
+        if (w < 0) return -1;
+        o += w;
+        p = c + cl;
+    }
+    return runs ? o : clean_fragment(s, e, out);
+}
+
+/* Text of every page i = data[offs[i]:offs[i+1]] into out as an Arrow
+   string column (int32 out_offs, n + 1 of them) with n_chars[i] code
+   points.  A page the loops do not mirror gets spec[i] = 1 and an empty
+   slot.  No page's text is longer than its HTML, so out needs the input's
+   byte count and scratch twice the longest page.  Returns the bytes
+   written, or -1 once they pass `limit`. */
+int64_t extract_pages(const int64_t *restrict offs,
+                      const uint8_t *restrict data, int64_t n, int64_t limit,
+                      uint8_t *restrict scratch, int32_t *restrict out_offs,
+                      uint8_t *restrict out, int64_t *restrict n_chars,
+                      uint8_t *restrict spec) {
+    int64_t pos = 0;
+    out_offs[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const uint8_t *pg = data + offs[i];
+        int64_t len = offs[i + 1] - offs[i], w = -1;
+        if (page_ok(pg, len)) {
+            uint8_t *b1 = scratch, *b2 = scratch + len;
+            int64_t n1 = strip_scripts(pg, len, b1);
+            if (n1 >= 0) {
+                const uint8_t *cs = b2, *ce = b2 + strip_comments(b1, n1, b2);
+                if (find_main(cs, ce, &cs, &ce) == 0)
+                    w = paragraphs(cs, ce, out + pos);
+            }
+        }
+        spec[i] = w < 0;
+        if (w < 0) w = 0;
+        int64_t chars = 0;
+        for (int64_t j = pos; j < pos + w; j++) chars += (out[j] & 0xC0) != 0x80;
+        n_chars[i] = chars;
+        pos += w;
+        if (pos > limit) return -1;
+        out_offs[i + 1] = (int32_t)pos;
+    }
+    return pos;
+}
 """
 
 _CACHE_DIR = os.path.join(tempfile.gettempdir(), "dynaalign_ckernels")
@@ -338,6 +634,7 @@ _U64P = np.ctypeslib.ndpointer(dtype=np.uint64, flags="C_CONTIGUOUS")
 _I64P = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
 _F64P = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
 _U8P = np.ctypeslib.ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
+_I32P = np.ctypeslib.ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
 _I64, _I32, _U64 = ctypes.c_int64, ctypes.c_int32, ctypes.c_uint64
 _STDERR_TAIL = 2000  # chars of cc's stderr quoted by the build warning
 
@@ -355,6 +652,8 @@ _SIGNATURES = [
      [_I64P, _U8P, _I64P, _I64, _I64, _U64P, _U64, _U64P, _I64P], _I64),
     ("bottomk_segments",
      [_U64P, _I64P, _I64, _I64, _U64P, _U64P, _I64P, _I64P], _I64),
+    ("extract_pages",
+     [_I64P, _U8P, _I64, _I64, _U8P, _I32P, _U8P, _I64P, _U8P], _I64),
 ]
 
 
@@ -394,9 +693,9 @@ def _build() -> ctypes.CDLL | None:
 
 
 def _build_failed(why: str) -> None:
-    """A failed build is not an error, but it costs the signature stage
-    most of its speed: say so once per process instead of falling back
-    silently."""
+    """A failed build is not an error, but it costs the signature and
+    extract stages most of their speed: say so once per process instead of
+    falling back silently."""
     warnings.warn(
         f"dynaalign_ray C kernels unavailable, using the numpy fallback "
         f"({why.strip()})",
@@ -509,6 +808,8 @@ def _span_offsets(offs: np.ndarray, data: np.ndarray) -> np.ndarray:
     offs = _c64(offs, np.int64)
     if len(offs) and (offs.min() < 0 or offs.max() > len(data)):
         raise ValueError("string offsets fall outside the data buffer")
+    if (offs[1:] < offs[:-1]).any():
+        raise ValueError("string offsets decrease")
     return offs
 
 
@@ -593,6 +894,43 @@ def bottomk_segments(
             s, counts, n_docs, cap, scratch, out, sizes, distinct
         )
     return out[:n], sizes, distinct
+
+
+_MAX_TEXT_BYTES = 2**31 - 1  # an Arrow string column's int32 offsets
+
+
+def extract_pages(
+    offs: np.ndarray, data: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """``extract.extract_text`` of every page ``data[offs[i]:offs[i+1]]`` as
+    the buffers of an Arrow ``string`` column ``(int32 offsets, UTF-8
+    data)``, plus per-page ``n_chars`` and a ``spec`` mask (C path), or None
+    when the compiled kernel is unavailable.  Pages under ``spec`` hold a
+    case the C loops do not mirror (see the C source); their slots are
+    empty, and the caller runs ``extract_text`` on them.  Raises
+    ValueError when the text overflows int32 offsets."""
+    lib = _load()
+    if lib is None:
+        return None
+    offs = _span_offsets(offs, data)
+    n = max(len(offs) - 1, 0)
+    out_offs = np.zeros(n + 1, dtype=np.int32)
+    n_chars = np.zeros(n, dtype=np.int64)
+    spec = np.zeros(n, dtype=np.uint8)
+    if n == 0:
+        return out_offs, np.empty(0, np.uint8), n_chars, spec.view(bool)
+    # no page's text is longer than its HTML
+    out = np.empty(max(int(offs[-1] - offs[0]), 1), dtype=np.uint8)
+    scratch = np.empty(max(2 * int(np.diff(offs).max()), 1), dtype=np.uint8)
+    total = lib.extract_pages(
+        offs, data, n, _MAX_TEXT_BYTES, scratch, out_offs, out, n_chars, spec
+    )
+    if total < 0:
+        raise ValueError(
+            f"extracted text passes {_MAX_TEXT_BYTES} bytes, the int32 "
+            "offsets of an Arrow string column"
+        )
+    return out_offs, out[:total], n_chars, spec.view(bool)
 
 
 def jaccard_row_vs_tail(

@@ -57,6 +57,7 @@ from dynaalign_ray.stages.bands import (
 from dynaalign_ray.stages.cluster import (
     _decide,
     assign_clusters,
+    collect_labels,
     component_labels,
     connected_components,
 )
@@ -321,9 +322,16 @@ def near_dedup(
                 # the reference's cluster_fn injection point
                 # (R/clusterbreak.R:185-188, netcluster's cluster_func): any
                 # callable (edges_ds, num_partitions) -> labels Dataset(node, label)
-                labels = cluster_backend(cluster_edges, P)
+                labels = cluster_backend(cluster_edges, P).materialize()
                 cc_info.update(mode="custom", n_edges=cluster_edges.count())
-                labels_table = None
+                # within the driver union-find's limit the labels are
+                # broadcast, like its own, instead of hash-joined with
+                # every doc id
+                labels_table = (
+                    collect_labels(labels)
+                    if labels.count() <= cfg.small_cc_limit
+                    else None
+                )
             else:
                 labels, info = connected_components(
                     cluster_edges, P, cfg.max_cc_rounds, cfg.small_cc_limit

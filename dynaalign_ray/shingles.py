@@ -90,9 +90,10 @@ def list_matrix(col, dtype=None) -> np.ndarray:
     return flat.reshape(n, dim)
 
 
-def _utf8_data(arr) -> np.ndarray:
-    """The data buffer of an Arrow string array as uint8 (empty when Arrow
-    allocated none, as it may for an array of empty strings)."""
+def varlen_data(arr) -> np.ndarray:
+    """The data buffer of an Arrow string or binary array (plain or large_)
+    as uint8 (empty when Arrow allocated none, as it may for an array of
+    empty strings)."""
     buf = arr.buffers()[2]
     return np.frombuffer(buf, dtype=np.uint8) if buf is not None else np.empty(0, np.uint8)
 
@@ -110,7 +111,7 @@ def _hash_utf8_spans(arr, seed: int) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=U64)
     offs = varlen_offsets(arr)
-    data = _utf8_data(arr)
+    data = varlen_data(arr)
     # C path: one Horner loop per string, no per-byte uint64 temporaries
     fused = ckernels.hash_utf8_spans(offs, data, seed)
     if fused is not None:
@@ -159,7 +160,7 @@ def _word_shingles_arrow(col, k: int) -> tuple[np.ndarray, np.ndarray]:
     # C path: token hashes and windows in one pass per doc, written straight
     # into the window array (no global token-hash array or boundary mask)
     fused = ckernels.word_shingles(
-        foffs, _utf8_data(flat), counts_tok, poly_powers(k), seed=0x5417
+        foffs, varlen_data(flat), counts_tok, poly_powers(k), seed=0x5417
     )
     if fused is not None:
         return fused

@@ -284,6 +284,17 @@ def connected_components(edges_ds, num_partitions: int, max_rounds: int, small_l
                     "converged": converged}
 
 
+def collect_labels(labels_ds) -> pa.Table:
+    """A labels Dataset(node, label) as one driver table with int64
+    columns, the lookup side of ``assign_clusters``' broadcast plan."""
+    import ray
+
+    schema = pa.schema([("node", pa.int64()), ("label", pa.int64())])
+    parts = [ray.get(r) for r in labels_ds.to_arrow_refs()]
+    parts = [t.select(schema.names).cast(schema) for t in parts if t.num_rows]
+    return pa.concat_tables(parts).combine_chunks() if parts else schema.empty_table()
+
+
 def _decide(batch: pa.Table) -> pa.Table:
     doc = np.asarray(batch.column("doc_id")).astype(np.int64)
     lbl = batch.column("label").combine_chunks()
@@ -308,8 +319,9 @@ def assign_clusters(docs_ds, labels_ds, num_partitions: int, labels_table=None):
     of the reference's per-cluster consensus representative
     (R/clusterbreak.R:309-320) for web dedup.
 
-    With ``labels_table`` (driver union-find output, dup docs only) the
-    lookup is BROADCAST — ray.put once, per-batch Arrow join, no shuffle."""
+    With ``labels_table`` (driver union-find output, dup docs only, or a
+    small ``cluster_backend`` result from ``collect_labels``) the lookup is
+    BROADCAST — ray.put once, per-batch Arrow join, no shuffle."""
     if labels_table is not None:
         import ray
 

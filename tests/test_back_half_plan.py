@@ -107,6 +107,31 @@ def test_task_and_staged_plans_give_identical_outputs(
         assert got[name] == want[name], name
 
 
+def test_small_backend_labels_are_broadcast(ray_session, monkeypatch):
+    """A ``cluster_backend`` whose labels fit ``small_cc_limit`` assigns
+    clusters with the broadcast lookup, not a hash shuffle of every doc id,
+    and gives the default call's clusters."""
+    from dynaalign_ray import joins
+    from dynaalign_ray.config import DedupConfig
+    from dynaalign_ray.pipelines.neardup import near_dedup
+
+    def run(**kwargs):
+        res = near_dedup(
+            pages_ds=_pages_ds(600, 0.05), cfg=DedupConfig(), num_partitions=4, **kwargs
+        )
+        return res, _outputs(res)["clusters"]
+
+    _, want = run()
+
+    def no_shuffle(*args, **kwargs):
+        raise AssertionError("the assignment hash-joined a small label table")
+
+    monkeypatch.setattr(joins, "hash_join", no_shuffle)
+    res, got = run(cluster_backend=_small_cc_backend)
+    assert res.stats["cc"]["mode"] == "custom"
+    assert got == want
+
+
 @pytest.mark.parametrize("texts", [[], ["a b", "c", "", "d e f"]], ids=["empty", "short"])
 def test_corpus_without_pairs_gives_singletons(ray_session, texts):
     import ray.data as rd

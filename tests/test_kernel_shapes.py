@@ -6,13 +6,15 @@ reference), a slice at a non-zero offset into a larger table, and a table
 whose columns span several chunks — for three row sets: a small corpus
 with a salted boilerplate cluster, one row, and no rows.  The outputs must
 be identical.  No Ray: these are the kernels the one-task back half and
-the staged map tasks call.
+the staged map tasks call.  ``extract_text_batch`` runs on both of its
+paths, the C scanner and the per-page Python fallback.
 """
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
+from dynaalign_ray import ckernels
 from dynaalign_ray.config import DedupConfig
 from dynaalign_ray.extract import extract_text_batch
 from dynaalign_ray.stages.bands import dedup_pairs_block, emit_pairs_block, explode_bands
@@ -79,9 +81,17 @@ def _verify(t: pa.Table, tables: dict) -> pa.Table:
     )
 
 
+def _extract_fallback(t: pa.Table, _) -> pa.Table:
+    """extract_text_batch as a host without a C compiler runs it."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(ckernels, "_load", lambda: None)
+        return extract_text_batch(t)
+
+
 # kernel -> (input table, function of the laid-out input)
 KERNELS = {
     "extract_text_batch": ("pages", lambda t, _: extract_text_batch(t)),
+    "extract_text_batch_fallback": ("pages", _extract_fallback),
     "explode_bands": ("sigs", lambda t, tb: explode_bands(t, cfg=CFG, hot_keys=tb["hot"])),
     "emit_pairs_block": ("bands", lambda t, _: emit_pairs_block(t, pair_cap=CFG.pair_cap)),
     "dedup_pairs_block": ("dup_pairs", lambda t, _: dedup_pairs_block(t)),
