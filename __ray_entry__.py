@@ -48,8 +48,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "doc_neardup_clusters": c.doc_neardup_clusters,
         # --- 2. oracle-backed, never hash-checked by the driver
         "doc_similarity_stats": c.doc_similarity_stats,  # oracle since r3
-        "doc_curation_funnel": c.doc_curation_funnel,  # tier-composed SQL
-        "doc_tiered_funnel": c.doc_tiered_funnel,  # five-tier composed SQL
         "doc_substring_dedup": c.doc_substring_dedup,  # loser-window islands SQL
         "doc_substring_pairs": c.doc_substring_pairs,  # LCS islands SQL
         "doc_quality": c.doc_quality,  # RE2-count parity, bit-exact floats
@@ -199,8 +197,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "supplier_volume": r.supplier_volume,
         "high_value_order_counts": r.high_value_order_counts,
         "orders_customer_hashjoin": r.orders_customer_hashjoin,
-        "events_order_asof": r.events_order_asof,
-        "supplier_ship_window_counts": r.supplier_ship_window_counts,
         "events_type_users": r.events_type_users,
         "customers_no_big_orders": r.customers_no_big_orders,
         "customers_with_returns": r.customers_with_returns,  # multi-hop EXISTS (round 4)
@@ -257,7 +253,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "embedding_cosine_pairs_lsh": c.embedding_cosine_pairs_lsh,  # ANN scale path
         "embedding_topk_lsh": c.embedding_topk_lsh,  # ANN
         "embedding_topk_ivf": c.embedding_topk_ivf,  # ANN, IVF index
-        "embedding_pq_topk": c.embedding_pq_topk,  # ANN, PQ codes
         "doc_minhash_signatures": c.doc_minhash_signatures,  # SipHash not SQL-reproducible
         "doc_simhash_pairs": c.doc_simhash_pairs,
         "doc_decontam_bloom": c.doc_decontam_bloom,  # Bloom cheap-filter stage
@@ -406,63 +401,6 @@ def _textstats_oracles() -> dict[str, str]:
                    + 0.2 * LEAST(GREATEST(n_stop_f / toks * 4.0, 0.0), 1.0) AS quality_score
             FROM r
         """
-    # Composed funnel: filter (quality >= 0.2 AND n_tokens >= 5; no lang
-    # gate in the query's config) -> exact dedup (group by raw text, keep
-    # min id) -> near dedup (k=5-shingle exact-Jaccard >= 0.7 CC over the
-    # survivors; count = number of components).  Every tier reuses an
-    # already-proven oracle form, composed over the SAME survivor sets the
-    # engine pipes between tiers.
-    funnel = f"""
-            WITH RECURSIVE raw AS (
-                SELECT doc_id, text,
-                       CAST(len(regexp_extract_all(text, '\\S+')) AS BIGINT) AS n_tokens,
-                       GREATEST(CAST(length(text) AS DOUBLE), 1.0) AS chars,
-                       GREATEST(CAST(len(regexp_extract_all(text, '\\S+')) AS DOUBLE), 1.0) AS toks,
-                       CAST(len(regexp_extract_all(text, '[!-/:-@\\[-`{{-~]')) AS DOUBLE) AS n_punct_f,
-                       CAST(len(regexp_extract_all(text, '[0-9]')) AS DOUBLE) AS n_digit_f,
-                       CAST(len(regexp_extract_all(text, '{stop_pat}')) AS DOUBLE) AS n_stop_f
-                FROM documents
-            ), filt AS (
-                SELECT doc_id, text FROM raw
-                WHERE n_tokens >= 5
-                  AND 0.4 * LEAST(GREATEST(CAST(n_tokens AS DOUBLE) / 50.0, 0.0), 1.0)
-                      + 0.4 * LEAST(GREATEST(1.0 - 2.0 * (n_punct_f / chars + n_digit_f / chars), 0.0), 1.0)
-                      + 0.2 * LEAST(GREATEST(n_stop_f / toks * 4.0, 0.0), 1.0) >= 0.2
-            ), ex AS (
-                SELECT min(doc_id) AS doc_id, arg_min(text, doc_id) AS text
-                FROM filt GROUP BY text
-            ), t AS (
-                SELECT doc_id, regexp_extract_all(text, '\\S+') AS toks FROM ex
-            ), s AS (
-                SELECT doc_id, unnest(list_distinct(list_transform(
-                    generate_series(1, len(toks) - 4),
-                    i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]
-                         || ' ' || toks[i+3] || ' ' || toks[i+4]
-                ))) AS sh
-                FROM t WHERE len(toks) >= 5
-            ), c AS (SELECT doc_id, count(*) AS n FROM s GROUP BY doc_id),
-            inter AS (
-                SELECT x.doc_id AS a, y.doc_id AS b, count(*) AS i
-                FROM s x JOIN s y ON x.sh = y.sh AND x.doc_id < y.doc_id
-                GROUP BY 1, 2
-            ), e AS (
-                SELECT a, b FROM inter
-                JOIN c ca ON ca.doc_id = a JOIN c cb ON cb.doc_id = b
-                WHERE i * 1.0 / (ca.n + cb.n - i) >= 0.7
-            ), sym AS (SELECT a, b FROM e UNION ALL SELECT b AS a, a AS b FROM e),
-            reach(node, lbl) AS (
-                SELECT doc_id, doc_id FROM ex
-                UNION
-                SELECT sym.b, reach.lbl FROM reach JOIN sym ON sym.a = reach.node
-            ), cc AS (SELECT node, min(lbl) AS lbl FROM reach GROUP BY node)
-            SELECT 'after_quality_lang' AS stage,
-                   CAST(count(*) AS BIGINT) AS n_docs FROM filt
-            UNION ALL
-            SELECT 'after_exact_dedup', CAST(count(*) AS BIGINT) FROM ex
-            UNION ALL
-            SELECT 'after_near_dedup', CAST(count(*) AS BIGINT)
-            FROM cc WHERE node = lbl
-        """
     langs = list(_LANG_MARKERS)  # insertion order == np.argmax tie order
     score_cols = ",\n                       ".join(
         f"CAST(len(regexp_extract_all(text, '(?i)\\b({'|'.join(ws)})\\b')) AS DOUBLE)"
@@ -513,138 +451,6 @@ def _textstats_oracles() -> dict[str, str]:
             )
             SELECT lang, pred_lang, CAST(count(*) AS BIGINT) AS n_docs
             FROM pred GROUP BY lang, pred_lang
-        """
-    # Tiered funnel: the full five-tier chain (filter -> doc-exact ->
-    # chunk-exact -> byte-span -> near) composed in ONE statement, each tier
-    # reusing its already-proven oracle form over the survivor set the
-    # previous tier rewrote: chunk tier = the doc_chunk_dedup ranked-rn SQL
-    # over the exact survivors (10-word chunks, winner by (doc_id, chunk_no),
-    # ' '-rejoin); span tier = the doc_substring_dedup loser-window islands
-    # SQL with k=50 over the chunk-rewritten texts; near tier = 5-shingle
-    # exact-Jaccard >= 0.7 recursive CC over the span-rewritten texts.
-    tiered = f"""
-            WITH RECURSIVE raw AS (
-                SELECT doc_id, text,
-                       CAST(len(regexp_extract_all(text, '\\S+')) AS BIGINT) AS n_tokens,
-                       GREATEST(CAST(length(text) AS DOUBLE), 1.0) AS chars,
-                       GREATEST(CAST(len(regexp_extract_all(text, '\\S+')) AS DOUBLE), 1.0) AS toks,
-                       CAST(len(regexp_extract_all(text, '[!-/:-@\\[-`{{-~]')) AS DOUBLE) AS n_punct_f,
-                       CAST(len(regexp_extract_all(text, '[0-9]')) AS DOUBLE) AS n_digit_f,
-                       CAST(len(regexp_extract_all(text, '{stop_pat}')) AS DOUBLE) AS n_stop_f
-                FROM documents
-            ), filt AS (
-                SELECT doc_id, text FROM raw
-                WHERE n_tokens >= 5
-                  AND 0.4 * LEAST(GREATEST(CAST(n_tokens AS DOUBLE) / 50.0, 0.0), 1.0)
-                      + 0.4 * LEAST(GREATEST(1.0 - 2.0 * (n_punct_f / chars + n_digit_f / chars), 0.0), 1.0)
-                      + 0.2 * LEAST(GREATEST(n_stop_f / toks * 4.0, 0.0), 1.0) >= 0.2
-            ), ex AS (
-                SELECT min(doc_id) AS doc_id, arg_min(text, doc_id) AS text
-                FROM filt GROUP BY text
-            ), w AS (
-                SELECT doc_id,
-                       unnest(regexp_extract_all(text, '\\S+')) AS word,
-                       unnest(range(len(regexp_extract_all(text, '\\S+')))) AS word_no
-                FROM ex
-            ), ch AS (
-                SELECT doc_id, word_no // 10 AS chunk_no,
-                       string_agg(word, ' ' ORDER BY word_no) AS chunk
-                FROM w GROUP BY doc_id, word_no // 10
-            ), ranked AS (
-                SELECT doc_id, chunk_no, chunk,
-                       row_number() OVER (
-                           PARTITION BY chunk ORDER BY doc_id, chunk_no) AS rn
-                FROM ch
-            ), cd AS (
-                SELECT e.doc_id, coalesce(r.clean, '') AS text,
-                       coalesce(r.n_removed, 0) AS n_removed
-                FROM ex e LEFT JOIN (
-                    SELECT doc_id,
-                           coalesce(string_agg(chunk, ' ' ORDER BY chunk_no)
-                                    FILTER (WHERE rn = 1), '') AS clean,
-                           count(*) FILTER (WHERE rn > 1) AS n_removed
-                    FROM ranked GROUP BY doc_id
-                ) r USING (doc_id)
-            ), pos AS (
-                SELECT doc_id, unnest(range(0, length(text) - 49)) AS i, text
-                FROM cd WHERE length(text) >= 50
-            ), sw AS (SELECT doc_id, i, substr(text, i + 1, 50) AS gram FROM pos),
-            swg AS (
-                SELECT gram, min(doc_id * 67108864 + i) AS winner, count(*) AS cnt
-                FROM sw GROUP BY gram
-            ), losers AS (
-                SELECT sw.doc_id, sw.i
-                FROM sw JOIN swg USING (gram)
-                WHERE swg.cnt >= 2 AND sw.doc_id * 67108864 + sw.i <> swg.winner
-            ), isl0 AS (
-                SELECT doc_id, i,
-                       CASE WHEN i - lag(i) OVER (
-                                PARTITION BY doc_id ORDER BY i) <= 50
-                            THEN 0 ELSE 1 END AS brk
-                FROM losers
-            ), isl1 AS (
-                SELECT doc_id, i,
-                       sum(brk) OVER (PARTITION BY doc_id ORDER BY i) AS gid
-                FROM isl0
-            ), islands AS (
-                SELECT l.doc_id, min(i) AS s,
-                       LEAST(max(i) + 50, length(d.text)) AS e
-                FROM isl1 l JOIN cd d ON d.doc_id = l.doc_id
-                GROUP BY l.doc_id, gid, length(d.text)
-            ), segs AS (
-                SELECT doc_id,
-                       coalesce(lag(e) OVER (
-                           PARTITION BY doc_id ORDER BY s), 0) AS seg_start,
-                       s AS seg_end
-                FROM islands
-                UNION ALL
-                SELECT i.doc_id, max(e), length(d.text)
-                FROM islands i JOIN cd d USING (doc_id)
-                GROUP BY i.doc_id, length(d.text)
-            ), cleaned AS (
-                SELECT sg.doc_id,
-                       coalesce(string_agg(
-                           substr(d.text, seg_start + 1, seg_end - seg_start),
-                           '' ORDER BY seg_start), '') AS clean_text
-                FROM segs sg JOIN cd d USING (doc_id)
-                GROUP BY sg.doc_id
-            ), sd AS (
-                SELECT cd.doc_id, coalesce(cl.clean_text, cd.text) AS text
-                FROM cd LEFT JOIN cleaned cl USING (doc_id)
-            ), t AS (
-                SELECT doc_id, regexp_extract_all(text, '\\S+') AS toks FROM sd
-            ), s5 AS (
-                SELECT doc_id, unnest(list_distinct(list_transform(
-                    generate_series(1, len(toks) - 4),
-                    i -> toks[i] || ' ' || toks[i+1] || ' ' || toks[i+2]
-                         || ' ' || toks[i+3] || ' ' || toks[i+4]
-                ))) AS sh
-                FROM t WHERE len(toks) >= 5
-            ), c5 AS (SELECT doc_id, count(*) AS n FROM s5 GROUP BY doc_id),
-            inter AS (
-                SELECT x.doc_id AS a, y.doc_id AS b, count(*) AS i
-                FROM s5 x JOIN s5 y ON x.sh = y.sh AND x.doc_id < y.doc_id
-                GROUP BY 1, 2
-            ), e5 AS (
-                SELECT a, b FROM inter
-                JOIN c5 ca ON ca.doc_id = a JOIN c5 cb ON cb.doc_id = b
-                WHERE i * 1.0 / (ca.n + cb.n - i) >= 0.7
-            ), sym AS (SELECT a, b FROM e5 UNION ALL SELECT b AS a, a AS b FROM e5),
-            reach(node, lbl) AS (
-                SELECT doc_id, doc_id FROM sd
-                UNION
-                SELECT sym.b, reach.lbl FROM reach JOIN sym ON sym.a = reach.node
-            ), cc AS (SELECT node, min(lbl) AS lbl FROM reach GROUP BY node)
-            SELECT 'after_quality_lang' AS stage, CAST(count(*) AS BIGINT) AS n FROM filt
-            UNION ALL
-            SELECT 'after_exact_dedup', CAST(count(*) AS BIGINT) FROM ex
-            UNION ALL
-            SELECT 'chunks_removed', CAST(coalesce(sum(n_removed), 0) AS BIGINT) FROM cd
-            UNION ALL
-            SELECT 'span_bytes_removed',
-                   CAST(coalesce((SELECT sum(e - s) FROM islands), 0) AS BIGINT)
-            UNION ALL
-            SELECT 'after_near_dedup', CAST(count(*) AS BIGINT) FROM cc WHERE node = lbl
         """
     # Quality-based keep rule: flagship CC (k=3 word shingles, tau=0.7 —
     # same CTE shape as doc_neardup_clusters) + the bit-exact quality
@@ -712,8 +518,6 @@ def _textstats_oracles() -> dict[str, str]:
         "doc_quality": quality,
         "doc_langid_counts": langid,
         "doc_langid_confusion": confusion,
-        "doc_curation_funnel": funnel,
-        "doc_tiered_funnel": tiered,
         "doc_neardup_best_keep": best_keep,
     }
 
@@ -3942,27 +3746,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(count(*) AS BIGINT) AS n,
                    CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT)) AS BIGINT) AS total_cents
             FROM orders GROUP BY CUBE(o_orderstatus, o_orderpriority)
-        """,
-        "events_order_asof": """
-            SELECT e.event_id, e.user_id,
-                   CAST(epoch_us(o.o_orderdate) AS BIGINT) AS last_order_us
-            FROM events e ASOF JOIN orders o
-              ON e.user_id = o.o_custkey AND e.ts >= o.o_orderdate
-        """,
-        "supplier_ship_window_counts": """
-            WITH d AS (
-                SELECT l_suppkey, l_shipdate, count(*) AS n
-                FROM lineitem GROUP BY 1, 2
-            )
-            SELECT d.l_suppkey AS l_suppkey,
-                   CAST(epoch_us(d.l_shipdate) AS BIGINT) AS ship_us,
-                   CAST(d.n AS BIGINT) AS n_rows,
-                   CAST(count(b.l_suppkey) AS BIGINT) AS n_shipments_30d
-            FROM d LEFT JOIN lineitem b
-              ON b.l_suppkey = d.l_suppkey
-             AND b.l_shipdate >= d.l_shipdate
-             AND b.l_shipdate < d.l_shipdate + INTERVAL 30 DAY
-            GROUP BY 1, 2, 3
         """,
         "doc_top_terms": """
             WITH tok AS (

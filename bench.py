@@ -104,7 +104,6 @@ def run_bench() -> dict:
         cfg=DedupConfig(),
         num_partitions=P,
         approx_rows=n_pages,
-        salt_hot=True,
     )
     n_out = res.clusters.count()
     headline = time.time() - t0
@@ -137,14 +136,12 @@ def run_bench() -> dict:
     timed("events_hourly", lambda: r.events_hourly(SF_DIR, P).count())
     timed("embedding_topk", lambda: c.embedding_topk(SF_DIR).num_rows)
     timed("top_customers", lambda: r.top_customers(SF_DIR, 10, P).count())
-    timed("doc_curation_funnel", lambda: c.doc_curation_funnel(SF_DIR).num_rows)
     timed("doc_repetition", lambda: c.doc_repetition(SF_DIR).count())
     timed("doc_pii", lambda: c.doc_pii(SF_DIR).count())
     timed("doc_decontam", lambda: c.doc_decontam(SF_DIR).count())
     timed("doc_chunk_dedup", lambda: c.doc_chunk_dedup(SF_DIR, P).count())
     timed("doc_substring_dedup", lambda: c.doc_substring_dedup(SF_DIR, P).count())
     timed("doc_top_terms", lambda: c.doc_top_terms(SF_DIR, P).count())
-    timed("events_order_asof", lambda: r.events_order_asof(SF_DIR, P).count())
     timed("doc_length_quantiles", lambda: c.doc_length_quantiles(SF_DIR, P).num_rows)
     timed("doc_top_by_source", lambda: c.doc_top_by_source(SF_DIR, 3, P).count())
     timed("embedding_topk_ivf", lambda: c.embedding_topk_ivf(SF_DIR).num_rows)

@@ -11,11 +11,10 @@ small for 100 TB).
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 
 # Deferred-release parking lot for broadcast ObjectRefs (see broadcast_put).
-_BROADCAST_KEEPALIVE: deque = deque(maxlen=int(os.environ.get("DYNA_BROADCAST_KEEPALIVE", "64")))
+_BROADCAST_KEEPALIVE: deque = deque(maxlen=64)
 
 
 def broadcast_put(obj):
@@ -30,14 +29,12 @@ def broadcast_put(obj):
     sessions (reference_count.cc:581 ``Check failed:
     submitted_task_ref_count > 0`` — fatal to the driver process) where a
     driver-owned ref is GC'd while cancelled in-flight tasks that captured
-    it are still being cleaned up.  Cost: up to maxlen broadcast objects
-    stay pinned in the object store; set DYNA_BROADCAST_KEEPALIVE=0 to
-    disable (refs then release eagerly, as plain ray.put)."""
+    it are still being cleaned up.  Cost: up to 64 broadcast objects stay
+    pinned in the object store."""
     import ray
 
     ref = ray.put(obj)
-    if _BROADCAST_KEEPALIVE.maxlen:
-        _BROADCAST_KEEPALIVE.append(ref)
+    _BROADCAST_KEEPALIVE.append(ref)
     return ref
 
 
@@ -78,7 +75,9 @@ def configure_context() -> None:
     # all leaves less than the one whole CPU a map task needs, so the
     # shuffle's own map side never schedules (measured: a 10k-row keyed
     # repartition hung at 0.01 and took 8.9 s at 0); there aggregators
-    # reserve nothing.
+    # reserve nothing.  On a multi-node cluster, aggregators that reserve
+    # ~0 CPU may all be placed on one node and concentrate the reduce side
+    # there; this has not been tested (only single-node clusters so far).
     per_partition = 0.0 if cpus <= 1 else 0.01
     ctx.hash_shuffle_operator_actor_num_cpus_per_partition_override = per_partition
     ctx.hash_aggregate_operator_actor_num_cpus_per_partition_override = per_partition

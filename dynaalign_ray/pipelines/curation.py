@@ -1400,61 +1400,6 @@ def doc_containment_pairs_prefix(
     return edges.map_batches(finish, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def doc_curation_funnel(sf_dir: str, num_partitions: int = 8):
-    """Composed curation funnel (quality+lang filter -> exact dedup ->
-    near dedup) over the documents table; returns (stage, n_docs) rows.
-    Rows-only driver check (the LSH stage is not SQL-expressible); funnel
-    semantics are pytest-gated vs the brute-force oracle."""
-    from dynaalign_ray.pipelines.curate import curate_corpus
-
-    res = curate_corpus(
-        docs_ds=_docs(sf_dir, ["doc_id", "text"]),
-        cfg=DedupConfig(),
-        min_quality=0.2,
-        allowed_langs=None,
-        min_tokens=5,
-        num_partitions=num_partitions,
-    )
-    stages = list(res.funnel)
-    return pa.table(
-        {
-            "stage": pa.array(stages, pa.string()),
-            "n_docs": pa.array([res.funnel[s] for s in stages], pa.int64()),
-        }
-    )
-
-
-def doc_tiered_funnel(sf_dir: str, num_partitions: int = 8):
-    """FULL tiered-dedup chain in one call — quality/lang filter ->
-    doc-level exact dedup -> chunk-level exact dedup (CCNet form) ->
-    byte-span removal (ExactSubstr form) -> MinHash-LSH near dedup; each
-    tier rewrites text before the next sees it.  Returns (stage, n) rows
-    incl. chunks_removed / span_bytes_removed.  DuckDB oracle since r3:
-    the full five-tier chain composed in one SQL statement
-    (__ray_entry__._textstats_oracles)."""
-    from dynaalign_ray.pipelines.curate import curate_corpus
-
-    res = curate_corpus(
-        docs_ds=_docs(sf_dir, ["doc_id", "text"]),
-        cfg=DedupConfig(),
-        min_quality=0.2,
-        allowed_langs=None,
-        min_tokens=5,
-        chunk_unit="words",
-        chunk_words=10,
-        span_k=50,  # 50 (not 60): nonzero span_bytes_removed on the synthetic
-        # corpus, so the driver's oracle check exercises the span tier for real
-        num_partitions=num_partitions,
-    )
-    stages = list(res.funnel)
-    return pa.table(
-        {
-            "stage": pa.array(stages, pa.string()),
-            "n": pa.array([int(res.funnel[s]) for s in stages], pa.int64()),
-        }
-    )
-
-
 def doc_quality(sf_dir: str):
     from dynaalign_ray.functions.textstats import quality_score_batch
 
@@ -2672,9 +2617,9 @@ def media_codec_summary(sf_dir: str, num_partitions: int = 4):
 
     # each codec pipeline materializes SEQUENTIALLY before the union: a
     # lazy 3-way union of actor-pool stages reserves 3 pools of CPUs at
-    # once and deadlocks small clusters (the chained-actor-pool hazard
-    # functions/pq.py measured); outputs are row-bounded, so the
-    # materialize is a few hundred rows per codec
+    # once and deadlocks small clusters (the chained-actor-pool hazard);
+    # outputs are row-bounded, so the materialize is a few hundred rows
+    # per codec
     parts = [
         media_gif_features(sf_dir, num_partitions).materialize(),
         media_png_features(sf_dir, num_partitions).materialize(),
@@ -4229,51 +4174,6 @@ def doc_shard_assign(sf_dir: str, num_shards: int = 16):
 
     return _docs(sf_dir, ["doc_id"]).map_batches(
         kern, batch_format="pyarrow", zero_copy_batch=True
-    )
-
-
-def embedding_pq_topk(sf_dir: str, k: int = 5, n_queries: int = 5, m: int = 8):
-    """Product-quantized ANN top-k (functions/pq.py): train codebooks on a
-    bounded hash-sample, encode the corpus to m uint8 codes per vector (the
-    compressed at-rest form), answer queries by asymmetric distance over
-    the codes.  Approximate by contract (rows-only driver check; recall
-    vs the exact scan is pytest-gated)."""
-    import ray.data as rd
-
-    from dynaalign_ray.exec import configure_context
-    from dynaalign_ray.functions.pq import encode_pq, pq_topk, train_pq
-
-    configure_context()
-    emb = rd.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
-    qrows = sorted(
-        (r for r in emb.filter(expr=f"vec_id < {n_queries}").take_all()),
-        key=lambda r: r["vec_id"],
-    )
-    qm = np.array([r["embedding"] for r in qrows], dtype=np.float64)
-    qids = np.array([r["vec_id"] for r in qrows], dtype=np.int64)
-    books = train_pq(emb, m=m)
-    codes = encode_pq(emb, books)
-    out = pq_topk(codes, books, qm, k=k + 1)  # +1 to drop the query itself
-
-    qs = np.asarray(out.column("query_id")).astype(np.int64)
-    vs = np.asarray(out.column("vec_id")).astype(np.int64)
-    dd = np.asarray(out.column("approx_dist")).astype(np.float64)
-    keep = vs != qids[qs]
-    qs, vs, dd = qs[keep], vs[keep], dd[keep]
-    out_q, out_r, out_v = [], [], []
-    for qi in range(len(qids)):
-        sel = np.flatnonzero(qs == qi)[:k]
-        out_q.extend([int(qids[qi])] * len(sel))
-        out_r.extend(range(1, len(sel) + 1))
-        out_v.extend(vs[sel].tolist())
-    return pa.table(
-        {
-            "query_id": pa.array(out_q, pa.int64()),
-            "rank": pa.array(out_r, pa.int64()),
-            "vec_id": pa.array(out_v, pa.int64()),
-        }
     )
 
 

@@ -322,18 +322,16 @@ def incremental_dedup(
     index_dir: str,
     cfg: DedupConfig = DedupConfig(),
     num_partitions: int | None = None,
-    salt_hot: bool = True,
-    endpoint_plan: str | None = None,
 ) -> IncrementalResult:
     """Probe a new batch against the persisted index (see module docstring).
 
     ``new_docs_ds`` must carry (doc_id, text); doc ids must not collide
     with the index (the caller's id scheme — url hashes — guarantees it).
 
-    ``endpoint_plan``: None = auto (broadcast the delta endpoint set while
-    it fits ``_ENDPOINT_BROADCAST_LIMIT`` — decided from the edge count, so
-    nothing oversize is ever collected — else two partitioned hash joins
-    against the cluster table), or force "broadcast" / "join"."""
+    Delta endpoints are collapsed to index labels by broadcasting the
+    endpoint set while it fits ``_ENDPOINT_BROADCAST_LIMIT`` — decided from
+    the edge count, so nothing oversize is ever collected — else by two
+    partitioned hash joins against the cluster table."""
     import functools
 
     import ray.data as rd
@@ -377,7 +375,7 @@ def incremental_dedup(
         tag(0), batch_format="pyarrow", zero_copy_batch=True
     ).union(new_sigs.map_batches(tag(1), batch_format="pyarrow", zero_copy_batch=True))
 
-    if salt_hot and cfg.salt_cap:
+    if cfg.salt_cap:
         # hot-bucket handling matters here too (the union bucket is what
         # explodes); counting runs on the UNION band table.  Salted
         # re-emission needs the hot-key set on both sides.
@@ -430,17 +428,9 @@ def incremental_dedup(
     # cluster (already merged)
     import pyarrow.compute as pc
 
-    if endpoint_plan not in (None, "broadcast", "join"):
-        raise ValueError(f"unknown endpoint_plan {endpoint_plan!r}")
-    if endpoint_plan is None:
-        # 2 * edge count bounds the distinct endpoint count; metadata-cheap
-        # on the materialized edge set, and decided BEFORE any collect
-        endpoint_plan = (
-            "broadcast"
-            if 2 * edges.count() <= _ENDPOINT_BROADCAST_LIMIT
-            else "join"
-        )
-    if endpoint_plan == "join":
+    # 2 * edge count bounds the distinct endpoint count; metadata-cheap on
+    # the materialized edge set, and decided BEFORE any collect
+    if 2 * edges.count() > _ENDPOINT_BROADCAST_LIMIT:
         mapped_raw = _collapse_endpoints_hashjoin(edges, clusters_ds, P)
     else:
         id_map = _endpoint_label_map(edges, clusters_ds)

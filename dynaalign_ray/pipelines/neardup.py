@@ -2,7 +2,7 @@
 reference's ``clusterbreak`` end-to-end flow (/root/reference/R/clusterbreak.R:180-275,
 traced in SURVEY.md §3.3/§3.4):
 
-    pages --extract--> docs --MinHashActor--> signatures
+    pages --extract--> docs --minhash_batch tasks--> signatures
       --hot-key pass (driver merge)--> hot band keys
       below the back-half gate, ONE Ray task on the signature blocks:
         explode bands -> emit + dedup pairs -> sketch-CSR Jaccard, tau
@@ -83,7 +83,6 @@ def near_dedup(
     checkpoint_dir: str | None = None,
     num_partitions: int | None = None,
     approx_rows: int | None = None,
-    salt_hot: bool = True,
     similarity_backend: str = "minhash",
     cluster_backend=None,
     edge_filter=None,
@@ -119,8 +118,9 @@ def near_dedup(
         cluster_backend is not None or edge_filter is not None or cfg.tau_quantile is not None
     )
     # the lineage chain must cover EVERY knob that changes stage outputs,
-    # not just DedupConfig: a rerun with a different salt_hot / similarity
-    # backend / clustering backend must invalidate stale checkpoints
+    # not just DedupConfig: a rerun with a different partition count /
+    # similarity backend / clustering backend must invalidate stale
+    # checkpoints
     cb_token = (
         "default"
         if cluster_backend is None
@@ -129,7 +129,7 @@ def near_dedup(
     ckpt = CheckpointContext(
         checkpoint_dir,
         cfg.config_hash()
-        + f"|P{P}|salt{int(salt_hot)}|sim={similarity_backend}|cb={cb_token}",
+        + f"|P{P}|sim={similarity_backend}|cb={cb_token}",
     )
 
     if docs_ds is None:
@@ -184,7 +184,7 @@ def near_dedup(
             back_half = {"plan": "resumed"}
         else:
             back_half, sigs, hot_keys = _choose_back_half(
-                sigs, cfg, P, n_rows, salt_hot, checkpointed=checkpoint_dir is not None
+                sigs, cfg, P, n_rows, checkpointed=checkpoint_dir is not None
             )
         if back_half["plan"] == "task":
             task_out: list = []
@@ -213,7 +213,7 @@ def near_dedup(
                 "pairs",
                 fp_sigs,
                 lambda: candidate_pairs(
-                    sigs, cfg, P, salt_hot=salt_hot, dedup=True,
+                    sigs, cfg, P, dedup=True,
                     approx_band_rows=n_band_rows, hot_keys=hot_keys,
                 ),
             )
@@ -447,8 +447,7 @@ def _task_plan_sizes(n_docs: int, salted_rows: int, cfg: DedupConfig) -> dict:
     }
 
 
-def _choose_back_half(sigs, cfg: DedupConfig, P: int, n_docs: int, salt_hot: bool,
-                      checkpointed: bool):
+def _choose_back_half(sigs, cfg: DedupConfig, P: int, n_docs: int, checkpointed: bool):
     """-> (plan record, signatures for the task, hot keys).  The gate is
     first taken without salted rows: if that already fails, the staged plan
     runs exactly as ``candidate_pairs`` alone would (its own hot-key pass,
@@ -464,7 +463,7 @@ def _choose_back_half(sigs, cfg: DedupConfig, P: int, n_docs: int, salt_hot: boo
     if checkpointed:
         sigs = sigs.materialize()
     hot_keys = None
-    if salt_hot and cfg.salt_cap:
+    if cfg.salt_cap:
         hot_keys = hot_band_keys(sigs, cfg, P, n_docs * cfg.num_bands)
     salted_rows = 0 if hot_keys is None else int(hot_keys[1].sum())
     plan = _task_plan_sizes(n_docs, salted_rows, cfg)

@@ -434,61 +434,6 @@ def orders_customer_hashjoin(sf_dir: str, num_partitions: int = 8):
     return _round_cols(agg, ["revenue"])
 
 
-def events_order_asof(sf_dir: str, num_partitions: int = 8):
-    """As-of join: each event matched to the user's most recent order at or
-    before the event time (greatest o_orderdate <= ts per user) — the
-    "latest state at event time" lookup; see stages/asof.py for the plan.
-    Output carries the matched timestamp only (right-side payload columns
-    would be tie-nondeterministic when a user has several orders on the
-    matched date)."""
-    from dynaalign_ray.stages.asof import asof_join
-
-    events = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-    return asof_join(
-        events,
-        orders,
-        left_on="user_id",
-        right_on="o_custkey",
-        left_ts="ts",
-        right_ts="o_orderdate",
-        left_cols=["event_id", "user_id"],
-        num_partitions=num_partitions,
-    ).rename_columns({"asof_ts_us": "last_order_us"})
-
-
-def supplier_ship_window_counts(sf_dir: str, num_partitions: int = 8):
-    """Range (interval) join + aggregate: per distinct (supplier, ship
-    date), how many line items the SAME supplier shipped in the 30 days
-    starting at that date (half-open [d, d + 30d); the rows at d qualify,
-    so every count >= 1).  A self range join keyed on l_suppkey — the
-    "supplier shipping-burst density" lookup.  The testdata lineitem has
-    no unique row key, so the left side collapses to distinct
-    (l_suppkey, ship_us) pairs (collapse_left; n_rows carries the
-    multiplicity).  See stages/rangejoin.py for the one-shuffle
-    rank-composite plan — a pair-emitting range join would be quadratic on
-    hot suppliers."""
-    from dynaalign_ray.stages.rangejoin import range_count_join
-
-    left = _read(sf_dir, "lineitem", ["l_suppkey", "l_shipdate"])
-    right = _read(sf_dir, "lineitem", ["l_suppkey", "l_shipdate"])
-    return range_count_join(
-        left,
-        right,
-        left_on="l_suppkey",
-        right_on="l_suppkey",
-        left_ts="l_shipdate",
-        right_ts="l_shipdate",
-        window_us=30 * 86_400_000_000,
-        left_cols=[],
-        count_col="n_shipments_30d",
-        num_partitions=num_partitions,
-        collapse_left=True,
-        ts_out="ship_us",
-        left_count_col="n_rows",
-    )
-
-
 def events_user_deltas(sf_dir: str, num_partitions: int = 8):
     """LAG window analog: per event, time since the user's previous event
     (see stages/windows.user_lag_deltas for the plan)."""

@@ -40,7 +40,6 @@ SF_BOUND = [
     "embedding_cosine_pairs_lsh",
     "embedding_topk_lsh",
     "embedding_topk_ivf",
-    "embedding_pq_topk",
     "events_type_users_approx",
     "media_features",
     "media_codec_summary",

@@ -92,10 +92,11 @@ class TestTopTermsPlans:
 
 
 class TestIncrementalEndpointPlans:
-    def test_join_plan_agrees_with_broadcast(self, ray_session, tmp_path):
+    def test_join_plan_agrees_with_broadcast(self, ray_session, tmp_path, monkeypatch):
         import ray.data as rd
 
         from dynaalign_ray.config import DedupConfig
+        from dynaalign_ray.pipelines import incremental
         from dynaalign_ray.pipelines.incremental import build_index, incremental_dedup
 
         cfg = DedupConfig()
@@ -125,9 +126,10 @@ class TestIncrementalEndpointPlans:
         build_index(mk(base), cfg, index_dir=idx, num_partitions=4)
         res = {}
         for plan in ("broadcast", "join"):
-            r = incremental_dedup(
-                mk(new), index_dir=idx, cfg=cfg, num_partitions=4, endpoint_plan=plan
-            )
+            if plan == "join":
+                # the edge count picks the plan: a zero limit routes to join
+                monkeypatch.setattr(incremental, "_ENDPOINT_BROADCAST_LIMIT", 0)
+            r = incremental_dedup(mk(new), index_dir=idx, cfg=cfg, num_partitions=4)
             res[plan] = (
                 _norm(r.new_clusters.to_pandas()),
                 _norm(r.merges.to_pandas()),

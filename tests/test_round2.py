@@ -251,26 +251,25 @@ class TestMultiprobe:
 
 class TestCheckpointKnobs:
     def test_salt_hot_change_invalidates_checkpoint(self, rd, ray_session, small_corpus, tmp_path):
+        """A knob outside DedupConfig (here the partition count) is part of
+        the checkpoint lineage."""
         from dynaalign_ray.pipelines.neardup import near_dedup
 
         pages, _ = small_corpus
         cfg = DedupConfig()
         ck = str(tmp_path / "ck")
         res1 = near_dedup(
-            pages_ds=rd.from_arrow(pages), cfg=cfg, num_partitions=4,
-            checkpoint_dir=ck, salt_hot=True,
+            pages_ds=rd.from_arrow(pages), cfg=cfg, num_partitions=4, checkpoint_dir=ck
         )
         res1.clusters.count()
         # same knobs -> resume
         res2 = near_dedup(
-            pages_ds=rd.from_arrow(pages), cfg=cfg, num_partitions=4,
-            checkpoint_dir=ck, salt_hot=True,
+            pages_ds=rd.from_arrow(pages), cfg=cfg, num_partitions=4, checkpoint_dir=ck
         )
         assert res2.stats["stages"]["pairs"].get("resumed") is True
         # flipping a knob OUTSIDE DedupConfig must invalidate the lineage
         res3 = near_dedup(
-            pages_ds=rd.from_arrow(pages), cfg=cfg, num_partitions=4,
-            checkpoint_dir=ck, salt_hot=False,
+            pages_ds=rd.from_arrow(pages), cfg=cfg, num_partitions=2, checkpoint_dir=ck
         )
         assert res3.stats["stages"]["pairs"].get("resumed") is not True
 
@@ -755,74 +754,6 @@ class TestHotKeyPlans:
         assert abs(int(n_dist[i]) - 5000) <= 12  # <= one singleton per block
 
 
-# ------------------------------------------- composed curation funnel
-
-
-class TestCurateCorpus:
-    def test_funnel_semantics(self, rd, ray_session):
-        """kept set: monotone funnel, no identical texts, no near-dup pair
-        >= tau (checked against the brute-force exact-Jaccard oracle), all
-        docs pass the quality/length gates."""
-        from dynaalign_ray.config import DedupConfig
-        from dynaalign_ray.fixtures import generate_pages
-        from dynaalign_ray.pipelines.curate import curate_corpus
-        from dynaalign_ray.functions.textstats import quality_score_batch
-        from dynaalign_ray.oracle import true_pairs
-
-        pages, _ = generate_pages(600, seed=11)
-        cfg = DedupConfig()
-        res = curate_corpus(
-            pages_ds=rd.from_arrow(pages),
-            cfg=cfg,
-            min_quality=0.2,
-            allowed_langs=None,  # fixture corpus is synthetic-en
-            min_tokens=5,
-            num_partitions=4,
-            approx_rows=600,
-        )
-        f = res.funnel
-        assert f["after_quality_lang"] >= f["after_exact_dedup"] >= f["after_near_dedup"] > 0
-
-        rows = res.kept.take_all()
-        texts = [r["text"] for r in rows]
-        ids = [r["doc_id"] for r in rows]
-        # exact dedup: kept texts are pairwise distinct
-        assert len(set(texts)) == len(texts)
-        # quality gates hold on every kept doc
-        import pyarrow as pa
-
-        q = quality_score_batch(pa.table({"doc_id": ids, "text": texts}))
-        assert (np.asarray(q.column("quality_score")) >= 0.2).all()
-        assert (np.asarray(q.column("n_tokens")) >= 5).all()
-        # near dedup: no kept pair with exact shingle Jaccard >= tau
-        tp = true_pairs(texts, ids, cfg)
-        assert not tp, f"near-dup pairs survived curation: {sorted(tp)[:5]}"
-
-    def test_checkpoint_resume(self, rd, ray_session, tmp_path):
-        """Second run with the same checkpoint_dir resumes every stage and
-        produces the identical kept set; a changed knob invalidates it."""
-        from dynaalign_ray.config import DedupConfig
-        from dynaalign_ray.fixtures import generate_pages
-        from dynaalign_ray.pipelines.curate import curate_corpus
-
-        pages, _ = generate_pages(300, seed=5)
-        kw = dict(
-            cfg=DedupConfig(), min_quality=0.2, allowed_langs=None,
-            min_tokens=5, num_partitions=4, approx_rows=300,
-            checkpoint_dir=str(tmp_path / "ck"),
-        )
-        r1 = curate_corpus(pages_ds=rd.from_arrow(pages), **kw)
-        r2 = curate_corpus(pages_ds=rd.from_arrow(pages), **kw)
-        assert all(v.get("resumed") for v in r2.funnel["stages"].values())
-        ids1 = sorted(r["doc_id"] for r in r1.kept.take_all())
-        ids2 = sorted(r["doc_id"] for r in r2.kept.take_all())
-        assert ids1 == ids2
-        # changed quality knob invalidates the chain
-        kw3 = {**kw, "min_quality": 0.25}
-        r3 = curate_corpus(pages_ds=rd.from_arrow(pages), **kw3)
-        assert not any(v.get("resumed") for v in r3.funnel["stages"].values())
-
-
 # ------------------------------------------- review-fix regressions
 
 
@@ -948,70 +879,6 @@ class TestTopTerms:
         assert got.score.tolist() == want.score.tolist()
 
 
-class TestAsofJoin:
-    def test_known_answer(self, rd):
-        from dynaalign_ray.stages.asof import asof_join
-
-        left = pa.table(
-            {
-                "eid": pa.array([1, 2, 3, 4, 5], pa.int64()),
-                "k": pa.array([7, 7, 7, 8, 9], pa.int64()),
-                "t": pa.array([100, 250, 50, 500, 10], pa.int64()),
-            }
-        )
-        right = pa.table(
-            {
-                "rk": pa.array([7, 7, 8, 8], pa.int64()),
-                "rt": pa.array([100, 200, 400, 500], pa.int64()),
-            }
-        )
-        out = asof_join(
-            rd.from_arrow(left),
-            rd.from_arrow(right),
-            left_on="k",
-            right_on="rk",
-            left_ts="t",
-            right_ts="rt",
-            left_cols=["eid", "k"],
-            num_partitions=2,
-        ).to_pandas().set_index("eid").sort_index()
-        # eid 1: t=100 matches rt=100 (inclusive); eid 2: t=250 -> rt=200
-        # eid 3: t=50 -> no right row <= 50 (dropped, inner semantics)
-        # eid 4: t=500 -> rt=500; eid 5: key 9 has no right rows (dropped)
-        assert out.index.tolist() == [1, 2, 4]
-        assert out.asof_ts_us.tolist() == [100, 200, 500]
-
-    def test_duckdb_parity_sf0001(self, rd):
-        import duckdb
-        import sys
-
-        sys.path.insert(0, "/root/repo")
-        import __ray_entry__ as entry
-
-        got = (
-            entry.queries()["events_order_asof"]("/root/testdata/sf0.001")
-            .to_pandas()
-            .sort_values("event_id")
-            .reset_index(drop=True)
-        )
-        con = duckdb.connect()
-        for t in ("events", "orders"):
-            con.sql(
-                f"CREATE VIEW {t} AS SELECT * FROM "
-                f"read_parquet('/root/testdata/sf0.001/{t}.parquet')"
-            )
-        want = (
-            con.sql(entry.oracle_sql()["events_order_asof"])
-            .df()
-            .sort_values("event_id")
-            .reset_index(drop=True)
-        )
-        assert len(got) == len(want) > 0
-        assert got.event_id.tolist() == want.event_id.tolist()
-        assert got.user_id.tolist() == want.user_id.tolist()
-        assert got.last_order_us.tolist() == want.last_order_us.tolist()
-
-
 class TestExactQuantiles:
     def test_known_answer_and_duckdb_rule(self, rd):
         import duckdb
@@ -1075,57 +942,6 @@ class TestTopBySource:
         assert len(got) == len(want) > 0
         for col in ("source", "doc_id", "n_chars", "rnk"):
             assert got[col].tolist() == want[col].tolist(), col
-
-
-class TestTieredFunnel:
-    def test_sf0001_stages(self, rd):
-        import sys
-
-        sys.path.insert(0, "/root/repo")
-        import __ray_entry__ as entry
-
-        t = entry.queries()["doc_tiered_funnel"]("/root/testdata/sf0.001")
-        f = dict(zip(t.column("stage").to_pylist(), t.column("n").to_pylist()))
-        assert set(f) == {
-            "after_quality_lang",
-            "after_exact_dedup",
-            "chunks_removed",
-            "span_bytes_removed",
-            "after_near_dedup",
-        }
-        assert f["after_near_dedup"] <= f["after_exact_dedup"]
-        assert f["chunks_removed"] > 0  # the testdata plants chunk dups
-
-    def test_span_tier_fires_without_chunk_tier(self, rd):
-        from dynaalign_ray.pipelines.curate import curate_corpus
-
-        dup = "x" * 50 + "unique-long-shared-span-payload-" * 4  # >= 60 bytes shared
-        docs = pa.table(
-            {
-                "doc_id": pa.array([1, 2, 3], pa.int64()),
-                "text": pa.array(
-                    [
-                        "alpha " * 30 + dup,
-                        "beta " * 30 + dup,
-                        "gamma " * 40,
-                    ]
-                ),
-            }
-        )
-        res = curate_corpus(
-            docs_ds=rd.from_arrow(docs),
-            min_quality=0.0,
-            allowed_langs=None,
-            min_tokens=1,
-            span_k=60,
-            num_partitions=2,
-        )
-        assert res.funnel["span_bytes_removed"] >= len(dup) - 60
-        # the rewritten text reaches the near-dup tier and the kept set
-        kept_texts = {r["doc_id"]: r["text"] for r in res.kept.take_all()}
-        assert all(dup not in t or d == min(
-            i for i, tx in kept_texts.items() if dup in tx
-        ) for d, t in kept_texts.items())
 
 
 class TestDistinctCount:

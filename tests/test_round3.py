@@ -370,108 +370,3 @@ class TestPackSequences:
         # doc0 (50) opens pack 0; doc1 (200) oversized -> alone; doc2+doc3
         # (30+30) share; doc4 (90) fits too (30+30+90=150>100 -> no); check:
         assert out1.pack_id.tolist() == [0, 1, 2, 2, 4]
-
-
-# ------------------------------------------- range (interval) join
-
-
-class TestRangeCountJoin:
-    def test_known_answer_per_row(self, rd, ray_session):
-        import pyarrow as pa
-
-        from dynaalign_ray.stages.rangejoin import range_count_join
-
-        left = pa.table(
-            {
-                "lid": pa.array([1, 2, 3, 4], pa.int64()),
-                "k": pa.array([7, 7, 8, 9], pa.int64()),
-                "t": pa.array([100, 250, 50, 10], pa.int64()),
-            }
-        )
-        right = pa.table(
-            {
-                "rk": pa.array([7, 7, 7, 8], pa.int64()),
-                "rt": pa.array([100, 149, 150, 500], pa.int64()),
-            }
-        )
-        out = (
-            range_count_join(
-                rd.from_arrow(left),
-                rd.from_arrow(right),
-                left_on="k",
-                right_on="rk",
-                left_ts="t",
-                right_ts="rt",
-                window_us=50,
-                left_cols=["lid"],
-                count_col="n",
-                num_partitions=2,
-            )
-            .to_pandas()
-            .set_index("lid")
-            .sort_index()
-        )
-        # lid 1: [100,150) -> rt 100,149 (150 excluded); lid 2: [250,300) -> 0
-        # lid 3: key 8, [50,100) -> rt 500 outside -> 0 (left-outer keeps it)
-        # lid 4: key 9 has no right rows -> 0
-        assert out.index.tolist() == [1, 2, 3, 4]
-        assert out.n.tolist() == [2, 0, 0, 0]
-
-    def test_collapse_left_multiplicity(self, rd, ray_session):
-        import pyarrow as pa
-
-        from dynaalign_ray.stages.rangejoin import range_count_join
-
-        # duplicate left (key, ts) pairs collapse; right multiplicity counts
-        left = pa.table(
-            {
-                "k": pa.array([5, 5, 5], pa.int64()),
-                "t": pa.array([10, 10, 40], pa.int64()),
-            }
-        )
-        right = pa.table(
-            {
-                "k": pa.array([5, 5, 5], pa.int64()),
-                "t": pa.array([10, 10, 45], pa.int64()),
-            }
-        )
-        out = (
-            range_count_join(
-                rd.from_arrow(left),
-                rd.from_arrow(right),
-                left_on="k",
-                right_on="k",
-                left_ts="t",
-                right_ts="t",
-                window_us=10,
-                left_cols=[],
-                count_col="n",
-                num_partitions=1,
-                collapse_left=True,
-            )
-            .to_pandas()
-            .sort_values("t_us")
-            .reset_index(drop=True)
-        )
-        assert out.k.tolist() == [5, 5]
-        assert out.t_us.tolist() == [10, 40]
-        assert out.n_rows.tolist() == [2, 1]  # two left rows collapsed at t=10
-        assert out.n.tolist() == [2, 1]  # both right rows at 10; 45 in [40,50)
-
-    def test_duckdb_parity_sf0001(self, ray_session):
-        entry = _entry()
-        got = _canon(
-            entry.queries()["supplier_ship_window_counts"](
-                "/root/testdata/sf0.001"
-            ).to_pandas()
-        )
-        con = duckdb.connect()
-        con.sql(
-            "CREATE VIEW lineitem AS SELECT * FROM "
-            "read_parquet('/root/testdata/sf0.001/lineitem.parquet')"
-        )
-        want = _canon(con.sql(entry.oracle_sql()["supplier_ship_window_counts"]).df())
-        assert len(got) == len(want) > 0
-        assert list(got.columns) == list(want.columns)
-        for c in got.columns:
-            assert got[c].tolist() == want[c].tolist(), c

@@ -507,70 +507,3 @@ class TestShardAssign:
         merged = q.merge(back, on="doc_id", suffixes=("_q", "_s"))
         assert len(merged) == 500
         assert (merged["shard_q"].astype(int) == merged["shard_s"].astype(int)).all()
-
-
-class TestProductQuantization:
-    def _clustered(self, n=400, dim=16, n_clusters=8, seed=3):
-        rng = np.random.default_rng(seed)
-        cents = rng.normal(size=(n_clusters, dim)) * 5
-        rows = cents[np.arange(n) % n_clusters] + rng.normal(size=(n, dim)) * 0.3
-        return pa.table(
-            {
-                "vec_id": pa.array(range(n), type=pa.int64()),
-                "embedding": pa.array([r.tolist() for r in rows]),
-            }
-        ), rows
-
-    def test_encode_roundtrip_and_determinism(self, ray_session):
-        import ray.data as rd
-
-        from dynaalign_ray.functions.pq import _encode_matrix, encode_pq, train_pq
-
-        tbl, rows = self._clustered()
-        ds = rd.from_arrow(tbl)
-        books = train_pq(ds, m=4, k=16)
-        codes_ds = encode_pq(ds, books).to_pandas().sort_values("vec_id")
-        # distributed encode == local encode (determinism)
-        local = _encode_matrix(rows, books)
-        got = np.frombuffer(b"".join(codes_ds["codes"]), dtype=np.uint8).reshape(
-            -1, 4
-        )
-        assert np.array_equal(got, local)
-        # quantization error bounded well below the cluster spacing
-        m, kc, dsub = books.shape
-        recon = np.concatenate(
-            [books[j][local[:, j]] for j in range(m)], axis=1
-        )
-        mse = float(np.mean((recon - rows) ** 2))
-        assert mse < 1.0  # clusters are 5-sigma apart, noise sigma 0.3
-
-    def test_topk_recall_vs_exact(self, ray_session):
-        import ray.data as rd
-
-        from dynaalign_ray.functions.pq import encode_pq, pq_topk, train_pq
-
-        tbl, rows = self._clustered()
-        ds = rd.from_arrow(tbl)
-        books = train_pq(ds, m=4, k=16)
-        codes = encode_pq(ds, books)
-        q = rows[:3]
-        got = pq_topk(codes, books, q, k=10).to_pandas()
-        # PQ resolves CLUSTER structure (quantization error ~ cell size, so
-        # noise-level ordering inside a tight cluster is not preserved):
-        # every top-10 hit must come from the query's true cluster, and the
-        # query itself must be hit #1 (its code reconstructs closest)
-        for qi in range(3):
-            sub = got[got["query_id"] == qi].sort_values("approx_dist")
-            hits = sub["vec_id"].to_numpy()
-            assert (hits % 8 == qi % 8).all()  # cluster = vec_id % n_clusters
-            assert hits[0] == qi
-            d = sub["approx_dist"].to_numpy()
-            assert (np.diff(d) >= 0).all()
-
-    def test_query_runs(self, ray_session):
-        t = _entry().queries()["embedding_pq_topk"]("/root/testdata/sf0.001")
-        df = t.to_pandas()
-        assert len(df) == 25  # 5 queries x k=5
-        assert (df.groupby("query_id")["rank"].max() == 5).all()
-        # the query's own vector never appears in its results
-        assert (df["query_id"] != df["vec_id"]).all()

@@ -10,7 +10,10 @@ print its JSON summary line and write its output Parquet:
   the clusters of the corpus without them;
 - ``build-index`` then ``probe-index`` must assign the new docs the
   clusters of the one-shot run;
-- ``paragraph`` must reassemble every doc with its paragraph counts.
+- ``paragraph`` must reassemble every doc with its paragraph counts;
+- a ``--checkpoint`` run whose whole process group is SIGKILLed once its
+  signatures checkpoint is published must leave no process behind, and a
+  rerun must resume from that checkpoint to the oracle clusters.
 """
 
 import json
@@ -18,6 +21,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -81,28 +85,37 @@ def inputs(tmp_path_factory):
     }
 
 
-def _run(tmp_path, *args: str) -> dict:
-    """Run the driver; return its JSON summary (the last stdout line)."""
+def _start(log, *args: str) -> subprocess.Popen:
+    """Start the driver in its own process group, stdout to ``log``."""
     env = {**os.environ, "PYTHONPATH": REPO, "RAY_USAGE_STATS_ENABLED": "0"}
-    log = tmp_path / "run.log"
     with open(log, "wb") as f:
-        proc = subprocess.Popen(
+        return subprocess.Popen(
             [sys.executable, SCRIPT, "--num-cpus", "2", "--num-partitions", "2", *args],
             env=env,
             start_new_session=True,
             stdout=f,
             stderr=subprocess.DEVNULL,
         )
+
+
+def _kill_group(proc: subprocess.Popen) -> None:
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait()
+
+
+def _run(tmp_path, *args: str) -> dict:
+    """Run the driver; return its JSON summary (the last stdout line)."""
+    log = tmp_path / "run.log"
+    proc = _start(log, *args)
     try:
         proc.wait(timeout=180)
     except subprocess.TimeoutExpired:
         pytest.fail(f"run_dedup.py {' '.join(args)} did not finish in 180 s")
     finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        proc.wait()
+        _kill_group(proc)
     out = log.read_text(errors="replace")
     assert proc.returncode == 0, out[-2000:]
     return json.loads(out.strip().splitlines()[-1])
@@ -175,3 +188,46 @@ def test_paragraph_mode(inputs, tmp_path):
     assert summary["n_paras"] == int(n_paras.sum())
     assert summary["n_paras_removed"] == int(n_removed.sum()) > 0
     assert (n_removed <= n_paras).all()
+
+
+def test_driver_kill_resumes_from_checkpoints(inputs, tmp_path):
+    """SIGKILL the driver's whole process group (driver, GCS, raylet and
+    workers) as soon as the signatures checkpoint is published.  No process
+    of the group may survive, and a rerun with the same ``--checkpoint``
+    must resume docs and signatures and give the oracle clusters.  Each
+    wait is bounded, so the test cannot hang."""
+    ck = tmp_path / "ck"
+    out = tmp_path / "out"
+    args = ("--input", inputs["pages"], "--output", str(out), "--checkpoint", str(ck))
+
+    proc = _start(tmp_path / "killed.log", *args)
+    deadline = time.monotonic() + 180
+    try:
+        while not (ck / "signatures" / "_LINEAGE.json").exists():
+            assert proc.poll() is None, "driver exited before the signatures checkpoint"
+            assert time.monotonic() < deadline, "no signatures checkpoint in 180 s"
+            time.sleep(0.02)
+    finally:
+        _kill_group(proc)
+    gone_by = time.monotonic() + 10
+    while True:
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        assert time.monotonic() < gone_by, "a process of the killed run survived"
+        time.sleep(0.1)
+
+    # a half-written stage dir, as a kill during a write leaves it: resume
+    # must never read one (this file is not Parquet, so a read would raise)
+    junk = ck / ".tmp-pairs-00000000" / "data" / "part-0.parquet"
+    junk.parent.mkdir(parents=True)
+    junk.write_bytes(b"not parquet")
+
+    summary = _run(tmp_path, *args)
+    assert summary["n_docs"] == N_PAGES
+    assert _clusters(out / "clusters") == inputs["oracle"]
+    stages = json.loads((out / "report.json").read_text())["stages"]["stages"]
+    assert stages["docs"]["resumed"] is True
+    assert stages["signatures"]["resumed"] is True
+    assert junk.read_bytes() == b"not parquet"
